@@ -1,7 +1,12 @@
 # Repository verification targets.
 #
 #   make verify       tier-1 tests + doc link check + chaos run + bench smoke
+#                     + benchmark-harness tests
 #   make test         tier-1 test suite only
+#   make perfbench-test  the repository benchmark harness's own tests
+#                     (perfbench/tests): every workload emits every metric
+#                     BENCHMARK.json names, and the span wrappers still
+#                     find the collector/client methods they wrap by name
 #   make doclinks     README.md / docs/*.md cross-reference check only
 #   make chaos        fastest fault-injection scenario (see docs/RESILIENCE.md)
 #   make bench        campaign benchmark -> BENCH_campaign.json
@@ -32,15 +37,19 @@
 
 PYTHON ?= python
 
-.PHONY: verify test doclinks chaos bench bench-smoke bench-analysis \
-	bench-service bench-world bench-collect serve-smoke \
+.PHONY: verify test perfbench-test doclinks chaos bench bench-smoke \
+	bench-analysis bench-service bench-world bench-collect serve-smoke \
 	orchestrator-smoke spill-smoke coverage coverage-fast
 
-verify: test doclinks chaos bench-smoke bench-analysis bench-world \
-	bench-collect serve-smoke orchestrator-smoke spill-smoke coverage-fast
+verify: test perfbench-test doclinks chaos bench-smoke bench-analysis \
+	bench-world bench-collect serve-smoke orchestrator-smoke spill-smoke \
+	coverage-fast
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+
+perfbench-test:
+	PYTHONPATH=src $(PYTHON) -m pytest perfbench/tests -q
 
 doclinks:
 	$(PYTHON) tools/check_doc_links.py

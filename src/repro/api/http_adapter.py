@@ -1,13 +1,23 @@
-"""Adapter for running the audit pipeline against the *real* Data API.
+"""Adapter for calling the *real* Data API through the simulator's client.
 
 Everything in :mod:`repro.core` talks to endpoint objects exposing
-``.list(**params) -> dict``.  This module provides the same surface backed
-by HTTPS calls to ``www.googleapis.com/youtube/v3`` so the identical
-collector/campaign/analysis code can run a live audit:
+``.list(**params) -> dict``.  This module provides that surface backed by
+HTTPS calls to ``www.googleapis.com/youtube/v3``, so the
+:class:`~repro.api.client.YouTubeClient` calls work live — ``search_page``
+/ ``search_all``, ``videos_list``, ``channels_list``, the playlist and
+comment sweeps — with the same retry policy, local quota pre-charge, and
+refund on every failed call:
 
     service = RealYouTubeService(api_key="...")     # needs network + key
-    client = YouTubeClient(service)                 # unchanged
-    campaign = run_campaign(config, client)         # unchanged
+    client = YouTubeClient(service)
+    items = client.search_all(q="...", publishedAfter="...", ...)
+
+Campaigns do not run live.  :func:`~repro.core.campaign.run_campaign` and
+:class:`~repro.core.collector.SnapshotCollector` need the simulator's
+virtual clock (``service.clock``), which this service does not have, and
+the default batch engine calls ``service.search.sweep``, which a live
+endpoint does not offer.  A live campaign runner (a wall-clock schedule
+over per-call collection) is not part of this repository.
 
 Design notes:
 
@@ -21,8 +31,8 @@ Design notes:
   raises, so retry logic and tests transfer unchanged.
 
 This module never runs in this repository's offline test suite beyond its
-pure parts; it exists so a reader with an API key can replicate the paper
-(and compare against the simulator) without modifying any pipeline code.
+pure parts; it exists so a reader with an API key can issue the paper's
+queries live and compare the answers against the simulator's.
 """
 
 from __future__ import annotations

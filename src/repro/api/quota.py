@@ -64,9 +64,11 @@ class QuotaLedger:
     observer: object | None = field(default=None, repr=False, compare=False)
     _usage: dict[str, int] = field(default_factory=dict)
     _total: int = 0
-    # Charges/refunds are check-then-mutate, so the parallel collector
-    # (``workers>1``) must serialize them or concurrent charges could both
-    # pass the limit check.  Observer callbacks fire inside the lock so the
+    # Charges/refunds are check-then-mutate, and a serve tenant's ledger
+    # (``SimulatorGateway.ledger_for``) is charged and refunded by
+    # concurrent HTTP executor threads while campaign-job threads absorb
+    # into it, so they must serialize or two charges could both pass the
+    # limit check.  Observer callbacks fire inside the lock so the
     # reported running totals stay monotonic.
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
@@ -173,16 +175,17 @@ class QuotaLedger:
             return self._usage[day]
 
     def absorb(self, usage: dict[str, int], endpoint: str = "search.list") -> int:
-        """Fold a worker sub-ledger's per-day spend into this ledger.
+        """Fold another ledger's per-day spend into this ledger.
 
-        The process-shard backend bills pages against isolated per-worker
-        ledgers; at merge time the parent absorbs each shard's usage here.
-        Unlike :meth:`charge`, the spend is recorded *before* the limit
-        check — the worker already spent it, and reconciliation must not
-        hide real consumption — so after a raising absorb the ledger shows
-        the actual (over-limit) usage.  Raises ``QuotaExceededError`` naming
-        the first (sorted) day whose combined usage crossed the limit.
-        Returns the units absorbed.
+        A serve campaign job bills an isolated sub-ledger and the gateway
+        absorbs its usage into the tenant's ledger when the job ends; the
+        orchestrator absorbs a resumed campaign's journaled spend into the
+        fresh service's ledger.  Unlike :meth:`charge`, the spend is
+        recorded *before* the limit check — it was already spent, and
+        reconciliation must not hide real consumption — so after a raising
+        absorb the ledger shows the actual (over-limit) usage.  Raises
+        ``QuotaExceededError`` naming the first (sorted) day whose combined
+        usage crossed the limit.  Returns the units absorbed.
         """
         with self._lock:
             exceeded: tuple[str, int] | None = None
@@ -217,7 +220,7 @@ class QuotaLedger:
     def usage_by_day(self) -> dict[str, int]:
         """A snapshot copy of per-day usage (day -> units), sorted by day.
 
-        The serve layer's quota-report route and the shard merge path both
+        The serve layer's quota-report route and campaign-job absorb both
         need the whole ledger at once; handing out a copy keeps the
         internal dict lock-protected.
         """

@@ -60,16 +60,6 @@ class LatencyModel:
         """
         return self._median * np.exp(self._sigma * self._rng.standard_normal(n))
 
-    def reseed(self, seed: int) -> None:
-        """Replace the RNG with a fresh named stream for ``seed``.
-
-        Used by the process-shard backend: each shard reseeds its worker's
-        latency model from a shard-derived seed, so simulated latencies are
-        deterministic in (seed, snapshot, shard) instead of depending on
-        which worker process happened to run which shard.
-        """
-        self._rng = SeedBank(seed).generator("transport/latency")
-
 
 class FaultInjector:
     """Injects transient 500s with a fixed probability."""
@@ -96,11 +86,12 @@ class FaultInjector:
             raise TransientServerError(f"transient backend error on {endpoint}")
 
 
-# numpy Generators are not thread-safe; the parallel collector shares one
-# transport (and so one latency RNG and one fault RNG) across workers, so
-# the observe/fail paths are serialized.  Latency draws then depend on call
-# *arrival order* — which worker interleaving changes — but latency never
-# feeds collected data, only the simulated wall-clock accounting.
+# numpy Generators are not thread-safe, so the observe/fail paths are
+# serialized.  The one transport several threads reach is the serve
+# gateway's warm service (HTTP executor threads), and SimulatorGateway
+# already calls it under its backend lock, so no in-repo caller relies on
+# these locks today; they keep a shared transport safe if that changes.
+# Latency never feeds collected data, only the simulated wall clock.
 
 
 @dataclass
@@ -110,10 +101,6 @@ class Transport:
     latency: LatencyModel = field(default_factory=LatencyModel)
     faults: FaultInjector = field(default_factory=FaultInjector)
     records: list[RequestRecord] = field(default_factory=list)
-    #: Calls executed outside this transport (shard workers) and folded in
-    #: at merge time — per-endpoint counts, no per-call records.
-    _absorbed: dict[str, int] = field(default_factory=dict, repr=False)
-    _absorbed_latency_ms: float = field(default=0.0, repr=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -167,36 +154,19 @@ class Transport:
             self.records.extend(new)
             return new
 
-    def absorb(self, counts: dict[str, int], latency_ms: float = 0.0) -> None:
-        """Fold calls a shard worker's transport saw into this one's totals.
-
-        Worker processes bill pages against their own service; only the
-        aggregate (per-endpoint call counts and summed simulated latency)
-        crosses back to the parent.  Absorbed calls count toward
-        :attr:`total_calls` and :meth:`calls_by_endpoint` but have no
-        per-call :class:`RequestRecord` — the shard trace spans carry the
-        per-shard detail instead.
-        """
-        with self._lock:
-            for endpoint, n in counts.items():
-                if n < 0:
-                    raise ValueError(f"cannot absorb {n} calls for {endpoint}")
-                self._absorbed[endpoint] = self._absorbed.get(endpoint, 0) + n
-            self._absorbed_latency_ms += latency_ms
-
     @property
     def total_calls(self) -> int:
-        """Number of calls that completed (including absorbed shard calls)."""
-        return len(self.records) + sum(self._absorbed.values())
+        """Number of calls that completed."""
+        return len(self.records)
 
     @property
     def total_latency_ms(self) -> float:
         """Sum of simulated latencies (sequential-execution wall clock)."""
-        return sum(r.latency_ms for r in self.records) + self._absorbed_latency_ms
+        return sum(r.latency_ms for r in self.records)
 
     def calls_by_endpoint(self) -> dict[str, int]:
         """Histogram of completed calls per endpoint."""
-        out: dict[str, int] = dict(self._absorbed)
+        out: dict[str, int] = {}
         for record in self.records:
             out[record.endpoint] = out.get(record.endpoint, 0) + 1
         return out

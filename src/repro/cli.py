@@ -70,17 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--trace", metavar="PATH", default=None,
                           help="write a JSONL observability trace of the run "
                                "(render it with `repro obs report`)")
-    campaign.add_argument("--workers", type=int, default=1,
-                          help="hour-bin query parallelism (1 = serial "
-                               "reference; >1 is byte-identical)")
-    campaign.add_argument("--backend", choices=("thread", "process"),
-                          default="thread",
-                          help="how workers>1 executes: a thread pool, or "
-                               "process-sharded hour-bin plans "
-                               "(byte-identical either way)")
     campaign.add_argument("--engine", choices=("batch", "per-call"),
                           default="batch",
-                          help="serial-path execution: whole-topic batched "
+                          help="collection engine: whole-topic batched "
                                "sweeps with automatic per-topic fallback "
                                "(default), or the per-bin reference loop "
                                "(byte-identical either way)")
@@ -170,13 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--scenario", action="append",
                        choices=tuple(sorted(_BENCH_SCENARIOS)),
                        help="scenario(s) to run (default: all)")
-    bench.add_argument("--workers", type=int, default=None,
-                       help="override every scenario's worker count "
-                            "(default: per-scenario)")
-    bench.add_argument("--backend", choices=("serial", "thread", "process"),
-                       default=None,
-                       help="override every scenario's execution backend "
-                            "(default: per-scenario)")
     bench.add_argument("--seed", type=int, default=None,
                        help="override the benchmark seed")
     bench.add_argument("--out", metavar="PATH", default="BENCH_campaign.json")
@@ -352,8 +337,7 @@ def _cmd_campaign(args) -> int:
         return 2
     campaign = run_campaign(
         config, YouTubeClient(service), progress=progress,
-        checkpoint_path=args.checkpoint, workers=args.workers,
-        backend=args.backend, engine=args.engine, stream=stream,
+        checkpoint_path=args.checkpoint, engine=args.engine, stream=stream,
         spill=args.spill, retain_snapshots=not args.spill,
     )
     if args.spill:
@@ -572,7 +556,7 @@ def _cmd_chaos(args) -> int:
 def _cmd_bench(args) -> int:
     from repro.core.benchmark import format_report, run_benchmark, write_report
 
-    kwargs = {"workers": args.workers, "backend": args.backend}
+    kwargs = {}
     if args.scenario:
         kwargs["names"] = tuple(args.scenario)
     if args.seed is not None:

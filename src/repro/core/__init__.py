@@ -8,8 +8,7 @@ the endpoint's behavior.
   collections at 5-day intervals, Feb 9 - Apr 30 2025, Apr 5 skipped);
 * :mod:`collector` / :mod:`campaign` — hour-binned collection (4,032
   search queries per snapshot) plus ID-based metadata and comment capture;
-* :mod:`shard` — process-sharded snapshot execution (``backend="process"``);
-  :mod:`streaming` — incremental RQ1/RQ2 analysis as snapshots complete;
+* :mod:`streaming` — incremental RQ1/RQ2 analysis as snapshots complete;
 * :mod:`datasets` — snapshot containers and JSONL persistence;
 * :mod:`spill` — disk-backed columnar campaign store (campaigns bigger
   than RAM): durable per-snapshot spill with an atomic manifest;
@@ -29,7 +28,7 @@ the endpoint's behavior.
 """
 
 from repro.core.campaign import run_campaign
-from repro.core.collector import BACKENDS, SnapshotCollector
+from repro.core.collector import SnapshotCollector
 from repro.core.datasets import CampaignResult, Snapshot, TopicSnapshot
 from repro.core.experiments import CampaignConfig, paper_campaign_config
 from repro.core.index import CampaignIndex, campaign_index
@@ -39,7 +38,6 @@ from repro.core.streaming import CampaignStream
 __all__ = [
     "CampaignConfig",
     "paper_campaign_config",
-    "BACKENDS",
     "SnapshotCollector",
     "run_campaign",
     "CampaignResult",

@@ -22,7 +22,6 @@ observable.  The fallback matrix (also in ``docs/PERFORMANCE.md``):
 Condition                              Why batch would diverge
 =====================================  =======================================
 ``engine="per-call"``                  Explicit opt-out (chaos/reference runs)
-``workers > 1`` (thread or process)    Bins are billed/recorded concurrently
 ``tolerate_failures=True``             Degradation is decided per bin
 resumed bins in a partial checkpoint   Only the *remaining* bins may bill
 active fault plan / injector           Faults fire per call, before billing
@@ -87,10 +86,8 @@ def sweep_eligibility(
     client: YouTubeClient,
     *,
     engine: str,
-    workers: int,
     tolerate_failures: bool,
     resumed_bins: bool,
-    prefetched: bool,
 ) -> SweepEligibility:
     """Evaluate the fallback matrix for one topic (see the module docstring).
 
@@ -99,10 +96,6 @@ def sweep_eligibility(
     """
     if engine != "batch":
         return SweepEligibility(False, "engine=per-call")
-    if prefetched:
-        return SweepEligibility(False, "process-shard prefetch")
-    if workers > 1:
-        return SweepEligibility(False, f"workers={workers}")
     if tolerate_failures:
         return SweepEligibility(False, "tolerate_failures")
     if resumed_bins:

@@ -1,17 +1,13 @@
 """Campaign performance benchmark: the instrument perf PRs are judged by.
 
-Seven scenario kinds, each with its own primary metric:
+Eight scenario kinds, each with its own primary metric:
 
 * ``kind="campaign"`` (collection; metric ``campaign_s``) — world build,
   a single snapshot sweep, and the full campaign:
 
   - ``reduced``: corpus scale 0.2, 4 collections (quick smoke);
   - ``paper``: corpus scale 1.0, 16 collections — the paper's actual
-    64,512-query audit workload;
-  - ``process``: the ``paper`` workload on the process-shard backend
-    (``workers=4, backend="process"``, :mod:`repro.core.shard`) — its
-    speedup is computed against the ``paper`` baseline because the two
-    run the same workload shape.
+    64,512-query audit workload.
 
 * ``kind="analysis"`` (metric ``analysis_s``) — run a campaign once
   (untimed setup), then time :func:`analysis_battery`: the exact
@@ -68,15 +64,17 @@ Seven scenario kinds, each with its own primary metric:
 
 * ``kind="replication"`` (metric ``replication_s``) — time
   :func:`repro.core.replication.run_replication` over
-  :data:`REPLICATION_SEEDS` at a small scale, serial (``workers=1``:
-  this machine is single-core, so a parallel wall time would be noise —
-  the parallel path is locked by serial==parallel equality tests
-  instead, the same honesty rule as the ``process`` scenario).
+  :data:`REPLICATION_SEEDS` at a small scale, serially.  The seed
+  fan-out (``workers > 1``) is not timed: on the 2-vCPU reference
+  machine a parallel wall time would mostly measure scheduler noise, so
+  the parallel path is locked by serial==parallel equality tests.
 
-Every scenario block records the ``kind``, ``workers``, and ``backend``
-it ran with (the recorded baselines predate these knobs and are pinned
-to the serial path), so numbers in ``BENCH_campaign.json`` are never
-compared across execution modes by accident.
+* ``kind="collect"`` (metric ``collect_s``) — run the same campaign on
+  the batch engine and on the per-call engine, each over a fresh world,
+  assert byte identity (campaign sha256, quota ledger, call count), and
+  report both wall times.
+
+Collection is always serial; every scenario block records its ``kind``.
 
 Results are written to ``BENCH_campaign.json`` together with the
 recorded pre-optimization baseline (measured on the commit immediately
@@ -146,8 +144,6 @@ RECORDED_BASELINE = {
     "commit": "f6be69b",
     "scenarios": {
         "reduced": {
-            "workers": 1,
-            "backend": "serial",
             "world_build_s": 0.5501,
             "snapshot_s": 2.4954,
             "campaign_s": 5.5405,
@@ -155,8 +151,6 @@ RECORDED_BASELINE = {
             "queries_per_s": 2910.9,
         },
         "paper": {
-            "workers": 1,
-            "backend": "serial",
             "world_build_s": 2.6693,
             "snapshot_s": 4.1482,
             "campaign_s": 29.5462,
@@ -171,15 +165,11 @@ RECORDED_BASELINE = {
         "spill": {
             "commit": "716689a",
             "kind": "spill",
-            "workers": 1,
-            "backend": "serial",
             "spill_s": 4.6416,
         },
         "analysis": {
             "commit": "eaf91d5",
             "kind": "analysis",
-            "workers": 1,
-            "backend": "serial",
             "use_index": False,
             "analysis_s": 0.6012,
             "records": 5334,
@@ -188,8 +178,6 @@ RECORDED_BASELINE = {
         "analysis-smoke": {
             "commit": "eaf91d5",
             "kind": "analysis",
-            "workers": 1,
-            "backend": "serial",
             "use_index": False,
             "analysis_s": 0.0487,
             "records": 872,
@@ -204,16 +192,12 @@ RECORDED_BASELINE = {
         "replication": {
             "commit": "8cae9a6",
             "kind": "replication",
-            "workers": 1,
-            "backend": "serial",
             "seeds": [101, 202, 303],
             "replication_s": 4.8509,
         },
         "service": {
             "commit": "5be79b3",
             "kind": "service",
-            "workers": 1,
-            "backend": "serial",
             "requests": 150,
             "concurrency": 8,
             "serve_s": 0.55,
@@ -221,8 +205,6 @@ RECORDED_BASELINE = {
         "service-smoke": {
             "commit": "5be79b3",
             "kind": "service",
-            "workers": 1,
-            "backend": "serial",
             "requests": 30,
             "concurrency": 8,
             "serve_s": 0.16,
@@ -230,8 +212,6 @@ RECORDED_BASELINE = {
         "orchestrator": {
             "commit": "46749b4",
             "kind": "orchestrator",
-            "workers": 1,
-            "backend": "serial",
             "campaigns": 4,
             "collections": 2,
             "orchestrate_s": 1.10,
@@ -244,8 +224,6 @@ RECORDED_BASELINE = {
         "world": {
             "commit": "fea4f06",
             "kind": "world",
-            "workers": 1,
-            "backend": "serial",
             "scale": 10.0,
             "videos": 75_150,
             "world_build_s": 21.8295,
@@ -253,8 +231,6 @@ RECORDED_BASELINE = {
         "world-smoke": {
             "commit": "fea4f06",
             "kind": "world",
-            "workers": 1,
-            "backend": "serial",
             "scale": 2.0,
             "videos": 15_030,
             "world_build_s": 2.1067,
@@ -267,26 +243,17 @@ RECORDED_BASELINE = {
         "collect-smoke": {
             "commit": "8cae9a6",
             "kind": "collect",
-            "workers": 1,
-            "backend": "serial",
             "collect_s": 1.3035,
         },
     },
 }
 
-#: Scenarios measured against another scenario's recorded baseline: the
-#: process backend runs the paper workload, so that is its yardstick.
-BASELINE_SCENARIO = {"process": "paper"}
-
-
 @dataclass(frozen=True)
 class BenchScenario:
-    """One benchmark workload: corpus scale, collections, execution mode."""
+    """One benchmark workload: corpus scale, collections, kind."""
 
     scale: float
     collections: int
-    workers: int = 1
-    backend: str = "serial"
     kind: str = "campaign"
     #: ``kind="service"`` only: burst size fired at the served API.
     requests: int = 0
@@ -306,8 +273,6 @@ class BenchScenario:
             raise ValueError("scale must be in (0, 1]")
         if self.collections < 1:
             raise ValueError("collections must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
         if self.kind not in PRIMARY_METRIC:
             raise ValueError(f"kind must be one of {sorted(PRIMARY_METRIC)}")
         if self.kind == "service" and self.requests < 1:
@@ -320,9 +285,6 @@ SCENARIOS: dict[str, BenchScenario] = {
     "reduced": BenchScenario(scale=0.2, collections=4),
     "spill": BenchScenario(scale=0.2, collections=8, kind="spill"),
     "paper": BenchScenario(scale=1.0, collections=16),
-    "process": BenchScenario(
-        scale=1.0, collections=16, workers=4, backend="process"
-    ),
     "analysis": BenchScenario(scale=1.0, collections=16, kind="analysis"),
     "analysis-smoke": BenchScenario(scale=0.2, collections=4, kind="analysis"),
     "replication": BenchScenario(scale=0.12, collections=6, kind="replication"),
@@ -390,8 +352,6 @@ def analysis_battery(campaign, use_index: bool = True) -> dict:
 def run_scenario(
     scenario: BenchScenario,
     seed: int = BENCH_SEED,
-    workers: int | None = None,
-    backend: str | None = None,
     progress: Callable[[str], None] | None = None,
     use_index: bool = True,
 ) -> dict:
@@ -407,9 +367,7 @@ def run_scenario(
     :data:`REPLICATION_SEEDS`.  ``kind="collect"`` runs the same campaign
     twice — batch engine, then the per-call oracle, each on a fresh
     world — verifies byte identity (campaign sha256, quota ledger, call
-    count) and reports both wall times.  ``workers``/``backend`` override
-    the scenario's own execution mode when given (``None`` keeps the
-    scenario defaults).
+    count) and reports both wall times.
     """
     from repro import build_service, build_world
     from repro.api.client import YouTubeClient
@@ -424,34 +382,24 @@ def run_scenario(
         if progress is not None:
             progress(message)
 
-    if backend is None:
-        backend = scenario.backend
-        if workers is not None and workers > 1 and backend == "serial":
-            backend = "thread"  # pre-backend CLI semantics of --workers N
-    workers = scenario.workers if workers is None else workers
-
     if scenario.kind == "replication":
         from repro.core.replication import run_replication
 
         note(
             f"replicating seeds {list(REPLICATION_SEEDS)} "
-            f"(scale {scenario.scale}, {scenario.collections} collections, "
-            f"workers {workers}) ..."
+            f"(scale {scenario.scale}, {scenario.collections} collections) ..."
         )
         t0 = time.perf_counter()
         summary = run_replication(
             list(REPLICATION_SEEDS),
             scale=scenario.scale,
             n_collections=scenario.collections,
-            workers=workers,
         )
         replication_s = time.perf_counter() - t0
         return {
             "kind": scenario.kind,
             "scale": scenario.scale,
             "collections": scenario.collections,
-            "workers": workers,
-            "backend": backend,
             "seeds": list(REPLICATION_SEEDS),
             "replication_s": round(replication_s, 4),
             "replicates": summary.n,
@@ -539,8 +487,6 @@ def run_scenario(
             "scale": scenario.scale,
             "collections": scenario.collections,
             "campaigns": scenario.campaigns,
-            "workers": workers,
-            "backend": backend,
             "orchestrate_s": round(orchestrate_s, 4),
             "campaigns_per_hour": round(
                 scenario.campaigns * 3600.0 / orchestrate_s, 1
@@ -585,7 +531,6 @@ def run_scenario(
                 run_campaign(
                     config, YouTubeClient(service),
                     spill=directory, retain_snapshots=False,
-                    workers=workers, backend=backend,
                 )
                 elapsed = time.perf_counter() - t0
                 spill_s = elapsed if spill_s is None else min(spill_s, elapsed)
@@ -603,8 +548,6 @@ def run_scenario(
             "kind": scenario.kind,
             "scale": scenario.scale,
             "collections": scenario.collections,
-            "workers": workers,
-            "backend": backend,
             "spill_s": round(spill_s, 4),
             "reload_s": round(reload_s, 4),
             "index_append_s": round(index.append_wall_s, 4),
@@ -622,8 +565,6 @@ def run_scenario(
             "kind": scenario.kind,
             "scale": scenario.scale,
             "collections": scenario.collections,
-            "workers": workers,
-            "backend": backend,
             "deep": scenario.deep,
         }
         note(f"building world (scale {scenario.scale:g}, columnar) ...")
@@ -686,8 +627,6 @@ def run_scenario(
             "kind": scenario.kind,
             "scale": scenario.scale,
             "collections": scenario.collections,
-            "workers": workers,
-            "backend": backend,
             "requests": burst.requests,
             "concurrency": 8,
             "serve_s": round(burst.wall_s, 4),
@@ -724,8 +663,6 @@ def run_scenario(
             "kind": scenario.kind,
             "scale": scenario.scale,
             "collections": scenario.collections,
-            "workers": workers,
-            "backend": backend,
             "use_index": use_index,
             "setup_s": round(setup_s, 4),
             "analysis_s": round(analysis_s, 4),
@@ -759,10 +696,7 @@ def run_scenario(
                 f"({scenario.collections} collections) ..."
             )
             t0 = time.perf_counter()
-            result = run_campaign(
-                config, client, workers=workers, backend=backend,
-                engine=engine,
-            )
+            result = run_campaign(config, client, engine=engine)
             elapsed = time.perf_counter() - t0
             with tempfile.TemporaryDirectory(
                 prefix="repro_bench_collect_"
@@ -797,8 +731,6 @@ def run_scenario(
             "kind": scenario.kind,
             "scale": scenario.scale,
             "collections": scenario.collections,
-            "workers": workers,
-            "backend": backend,
             "collect_s": round(batch["elapsed"], 4),
             "percall_s": round(percall["elapsed"], 4),
             "sweep_speedup": round(
@@ -823,12 +755,9 @@ def run_scenario(
 
     note("timing one snapshot sweep ...")
     client = make_client()
-    collector = SnapshotCollector(client, specs, workers=workers, backend=backend)
+    collector = SnapshotCollector(client, specs)
     t0 = time.perf_counter()
-    try:
-        collector.collect(0)
-    finally:
-        collector.close()
+    collector.collect(0)
     snapshot_s = time.perf_counter() - t0
 
     config = paper_campaign_config(topics=specs)
@@ -842,15 +771,13 @@ def run_scenario(
     note(f"running campaign ({scenario.collections} collections, {queries} queries) ...")
     client = make_client()
     t0 = time.perf_counter()
-    run_campaign(config, client, workers=workers, backend=backend)
+    run_campaign(config, client)
     campaign_s = time.perf_counter() - t0
 
     return {
         "kind": scenario.kind,
         "scale": scenario.scale,
         "collections": scenario.collections,
-        "workers": workers,
-        "backend": backend,
         "world_build_s": round(world_build_s, 4),
         "snapshot_s": round(snapshot_s, 4),
         "campaign_s": round(campaign_s, 4),
@@ -861,22 +788,17 @@ def run_scenario(
 
 def run_benchmark(
     names: tuple[str, ...] = (
-        "reduced", "spill", "paper", "process", "collect-smoke",
+        "reduced", "spill", "paper", "collect-smoke",
         "analysis", "analysis-smoke", "replication", "service",
         "service-smoke", "orchestrator", "world", "world-smoke",
     ),
     seed: int = BENCH_SEED,
-    workers: int | None = None,
-    backend: str | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> dict:
     """Run the named scenarios and attach baseline comparisons.
 
     Speedups compare each scenario kind's primary metric
     (:data:`PRIMARY_METRIC`) against its recorded baseline.
-    ``workers``/``backend`` override every scenario's execution mode when
-    given; the default ``None`` runs each scenario as defined (which is
-    how the committed ``BENCH_campaign.json`` is produced).
     """
     unknown = [n for n in names if n not in SCENARIOS]
     if unknown:
@@ -885,24 +807,16 @@ def run_benchmark(
     for name in names:
         if progress is not None:
             progress(f"[{name}]")
-        current = run_scenario(
-            SCENARIOS[name], seed=seed, workers=workers, backend=backend,
-            progress=progress,
-        )
+        current = run_scenario(SCENARIOS[name], seed=seed, progress=progress)
         metric = PRIMARY_METRIC[SCENARIOS[name].kind]
-        baseline_name = BASELINE_SCENARIO.get(name, name)
-        baseline = RECORDED_BASELINE["scenarios"].get(baseline_name)
+        baseline = RECORDED_BASELINE["scenarios"].get(name)
         entry: dict = {"current": current}
         if baseline is not None and current.get(metric):
             entry["baseline"] = baseline
-            if baseline_name != name:
-                entry["baseline_scenario"] = baseline_name
             entry["speedup"] = round(baseline[metric] / current[metric], 2)
         scenarios[name] = entry
     return {
         "seed": seed,
-        "workers": workers,
-        "backend": backend,
         "baseline_commit": RECORDED_BASELINE["commit"],
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -937,7 +851,7 @@ def format_report(report: dict) -> str:
             )
         elif kind == "spill":
             line = (
-                f"  {name:14s} {cur['backend']}/w{cur['workers']} | "
+                f"  {name:14s} | "
                 f"spill {cur['spill_s']:.3f}s | "
                 f"reload {cur['reload_s']:.3f}s "
                 f"(append {cur['index_append_s']:.3f}s, "
@@ -946,7 +860,7 @@ def format_report(report: dict) -> str:
             )
         elif kind == "replication":
             line = (
-                f"  {name:14s} w{cur['workers']} | "
+                f"  {name:14s} | "
                 f"replication {cur['replication_s']:.3f}s "
                 f"({cur['replicates']} seeds, "
                 f"claims hold: {cur['all_claims_hold']})"
@@ -975,7 +889,7 @@ def format_report(report: dict) -> str:
                 )
         elif kind == "collect":
             line = (
-                f"  {name:14s} {cur['backend']}/w{cur['workers']} | "
+                f"  {name:14s} | "
                 f"batch {cur['collect_s']:.3f}s | "
                 f"per-call {cur['percall_s']:.3f}s "
                 f"({cur['sweep_speedup']}x sweep, {cur['calls']} calls, "
@@ -991,17 +905,16 @@ def format_report(report: dict) -> str:
             )
         else:
             line = (
-                f"  {name:14s} {cur['backend']}/w{cur['workers']} | "
+                f"  {name:14s} | "
                 f"world {cur['world_build_s']:.3f}s | "
                 f"snapshot {cur['snapshot_s']:.3f}s | "
                 f"campaign {cur['campaign_s']:.3f}s "
                 f"({cur['queries']} queries, {cur['queries_per_s']} q/s)"
             )
         if "speedup" in entry:
-            against = entry.get("baseline_scenario", "baseline")
             metric = PRIMARY_METRIC[kind]
             line += (
-                f" | {entry['speedup']}x vs {against} "
+                f" | {entry['speedup']}x vs baseline "
                 f"{entry['baseline'][metric]:.3f}s"
             )
         lines.append(line)

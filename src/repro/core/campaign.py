@@ -62,8 +62,6 @@ def run_campaign(
     checkpoint_path: str | Path | None = None,
     observer: Observer | None = None,
     tolerate_failures: bool = False,
-    workers: int = 1,
-    backend: str = "thread",
     stream: "CampaignStream | None" = None,
     partial: PartialSnapshotStore | None = None,
     spill: "SpillStore | str | Path | None" = None,
@@ -90,17 +88,10 @@ def run_campaign(
     exhaustion still aborts after checkpointing, because only a new quota
     day can fix it — the run resumes cleanly once it arrives.
 
-    ``workers`` sets the collector's hour-bin query parallelism; the
-    default ``1`` is the serial reference path and ``workers > 1``
-    produces byte-identical snapshots (see
-    :class:`~repro.core.collector.SnapshotCollector`).  ``backend``
-    chooses how that parallelism executes: ``"thread"`` (default),
-    ``"process"`` (sharded worker processes, :mod:`repro.core.shard`), or
-    ``"serial"`` to force the reference path.  ``engine`` picks the
-    serial-path execution strategy: ``"batch"`` (default) runs each
-    eligible topic's whole hour-bin sweep as one vectorized plan with
-    automatic per-topic fallback, ``"per-call"`` forces the per-bin
-    reference loop; both are byte-identical (see
+    ``engine`` picks the collector's execution strategy: ``"batch"``
+    (default) runs each eligible topic's whole hour-bin sweep as one
+    vectorized plan with automatic per-topic fallback, ``"per-call"``
+    forces the per-bin reference loop; both are byte-identical (see
     :mod:`repro.core.batch`).
 
     ``partial`` overrides the query-level checkpoint store — any object
@@ -149,8 +140,7 @@ def run_campaign(
     collector = SnapshotCollector(
         client, config.topics, collect_metadata=config.collect_metadata,
         observer=observer, partial=partial,
-        tolerate_failures=tolerate_failures, workers=workers, backend=backend,
-        engine=engine,
+        tolerate_failures=tolerate_failures, engine=engine,
     )
     dates = config.collection_dates
     snapshots = []
@@ -204,44 +194,41 @@ def run_campaign(
         if existing is not None and existing.index == done:
             observer.on_checkpoint("resume-partial", str(partial.path), done)
 
-    try:
-        for index in range(done, len(dates)):
-            client.service.clock.set(dates[index])
-            with_comments = index in config.comment_snapshot_indices
-            try:
-                snap = collector.collect(index, with_comments=with_comments)
-            except QuotaExceededError as exc:
-                # A scheduling event: completed hour bins are already in the
-                # partial sidecar; surface it so the operator waits for quota.
-                observer.on_degraded(
-                    "quota", f"snapshot {index} interrupted: {exc}"
-                )
-                raise
-            if stream is not None:
-                stream.add_snapshot(snap)
-            if spill is not None:
-                # Durable the moment append returns; the sidecar's bins
-                # are covered by the spilled snapshot, so clear it.
-                spill.append(snap)
-                if partial is not None:
-                    partial.clear()
-            if retain_snapshots:
-                snapshots.append(snap)
-            if checkpoint_path is not None:
-                # Atomic save: a crash mid-checkpoint must leave the
-                # previous complete checkpoint, never a torn file.
-                CampaignResult(
-                    topic_keys=topic_keys,
-                    snapshots=snapshots,
-                ).save(checkpoint_path, atomic=True)
-                observer.on_checkpoint("save", str(checkpoint_path), len(snapshots))
-                if partial is not None:
-                    partial.clear()
-            done = index + 1
-            if progress is not None:
-                progress(done, len(dates))
-    finally:
-        collector.close()
+    for index in range(done, len(dates)):
+        client.service.clock.set(dates[index])
+        with_comments = index in config.comment_snapshot_indices
+        try:
+            snap = collector.collect(index, with_comments=with_comments)
+        except QuotaExceededError as exc:
+            # A scheduling event: completed hour bins are already in the
+            # partial sidecar; surface it so the operator waits for quota.
+            observer.on_degraded(
+                "quota", f"snapshot {index} interrupted: {exc}"
+            )
+            raise
+        if stream is not None:
+            stream.add_snapshot(snap)
+        if spill is not None:
+            # Durable the moment append returns; the sidecar's bins
+            # are covered by the spilled snapshot, so clear it.
+            spill.append(snap)
+            if partial is not None:
+                partial.clear()
+        if retain_snapshots:
+            snapshots.append(snap)
+        if checkpoint_path is not None:
+            # Atomic save: a crash mid-checkpoint must leave the
+            # previous complete checkpoint, never a torn file.
+            CampaignResult(
+                topic_keys=topic_keys,
+                snapshots=snapshots,
+            ).save(checkpoint_path, atomic=True)
+            observer.on_checkpoint("save", str(checkpoint_path), len(snapshots))
+            if partial is not None:
+                partial.clear()
+        done = index + 1
+        if progress is not None:
+            progress(done, len(dates))
 
     return CampaignResult(
         topic_keys=topic_keys,

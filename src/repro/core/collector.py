@@ -26,8 +26,7 @@ Resilience (see :mod:`repro.resilience` and ``docs/RESILIENCE.md``):
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from datetime import datetime, timedelta
+from datetime import timedelta
 
 from repro.api.client import YouTubeClient
 from repro.api.errors import (
@@ -45,10 +44,7 @@ from repro.resilience.checkpoint import PartialSnapshotStore
 from repro.util.timeutil import format_rfc3339, hour_range
 from repro.world.topics import TopicSpec
 
-__all__ = ["SnapshotCollector", "BACKENDS", "ENGINES"]
-
-#: Execution backends for the hour-bin sweep (see the ``backend`` parameter).
-BACKENDS = ("serial", "thread", "process")
+__all__ = ["SnapshotCollector", "ENGINES"]
 
 
 class SnapshotCollector:
@@ -71,38 +67,15 @@ class SnapshotCollector:
         Degrade instead of dying: mark an hour bin missing when its query
         fails permanently (exhausted retries, open circuit) and keep
         collecting.  Quota exhaustion always propagates.
-    workers:
-        Hour-bin query parallelism.  ``1`` (the default) is the serial
-        reference path.  With ``workers > 1`` each topic's hour-bin
-        queries fan out over a thread pool; the simulator's outcomes
-        depend only on (seed, query, request date), and results are merged
-        in hour-index order from the calling thread, so the assembled
-        snapshot — and any partial checkpoint — is byte-identical to the
-        serial path.  Only side-channel *orderings* differ (trace event
-        interleaving, latency-draw assignment).  Requires the shared
-        quota ledger, metrics registry, circuit breaker, and transport to
-        be thread-safe — which the in-repo implementations are.
-    backend:
-        How ``workers > 1`` parallelism executes.  ``"thread"`` (the
-        default) is the PR 3 thread pool; ``"process"`` shards the
-        snapshot's full topic-major hour-bin plan across worker processes
-        (:mod:`repro.core.shard`) and merges results in plan order —
-        byte-identical output, reconciled quota/transport accounting,
-        per-shard trace spans instead of per-call events.  ``"serial"``
-        forces the reference path regardless of ``workers``.  The process
-        backend requires a fault-free transport; run chaos scenarios on
-        the serial or thread path.  Call :meth:`close` (or collect via
-        :func:`repro.core.campaign.run_campaign`, which does) to shut the
-        worker pool down.
     engine:
-        How a topic's hour-bin queries execute on the serial path.
-        ``"batch"`` (the default) runs each eligible topic's whole sweep
-        as one vectorized plan — one engine pass, one ledger transaction,
-        snapshots assembled straight from the per-bin ID slices — and
-        falls back per topic to the per-call loop whenever per-call
-        semantics are observable (fault plan armed, breaker not closed,
-        resumed bins, ``tolerate_failures``, ``workers > 1``, or a quota
-        shortfall); see :mod:`repro.core.batch` for the full matrix.
+        How a topic's hour-bin queries execute.  ``"batch"`` (the
+        default) runs each eligible topic's whole sweep as one vectorized
+        plan — one engine pass, one ledger transaction, snapshots
+        assembled straight from the per-bin ID slices — and falls back
+        per topic to the per-call loop whenever per-call semantics are
+        observable (fault plan armed, breaker not closed, resumed bins,
+        ``tolerate_failures``, or a quota shortfall); see
+        :mod:`repro.core.batch` for the full matrix.
         ``"per-call"`` forces the reference path unconditionally.  Both
         engines produce byte-identical snapshots, checkpoints, ledgers,
         and request records.
@@ -116,16 +89,10 @@ class SnapshotCollector:
         observer: Observer | None = None,
         partial: PartialSnapshotStore | None = None,
         tolerate_failures: bool = False,
-        workers: int = 1,
-        backend: str = "thread",
         engine: str = "batch",
     ) -> None:
         if not topics:
             raise ValueError("collector requires at least one topic")
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
         self._client = client
@@ -133,22 +100,13 @@ class SnapshotCollector:
         self._collect_metadata = collect_metadata
         self._partial = partial
         self._tolerate_failures = tolerate_failures
-        self._workers = 1 if backend == "serial" else workers
-        self._backend = backend
         self._engine = engine
-        self._shard_backend = None  # lazily-created ProcessShardBackend
         self._observer = (
             observer or getattr(client, "observer", None) or NullObserver()
         )
         # Per-topic RFC3339 hour-window strings, computed once per spec
         # instead of twice per query per page (spec.key -> [(after, before)]).
         self._hour_bounds: dict[str, list[tuple[str, str]]] = {}
-
-    def close(self) -> None:
-        """Release backend resources (the process-shard worker pool)."""
-        if self._shard_backend is not None:
-            self._shard_backend.close()
-            self._shard_backend = None
 
     def collect(self, index: int, with_comments: bool = False) -> Snapshot:
         """Run the full hourly query sweep and return the snapshot.
@@ -167,36 +125,10 @@ class SnapshotCollector:
         units_before = service.quota.total_used
         calls_before = service.transport.total_calls
 
-        shard_outcomes: dict[str, dict] = {}
-        shard_usage: dict[str, dict[str, int]] = {}
-        shard_errors: dict[str, tuple[int, str]] = {}
-        use_shards = self._backend == "process" and self._workers > 1
-        if use_shards:
-            shard_outcomes, shard_usage, shard_errors = self._collect_process(
-                index, collected_at, completed
-            )
-
         topics: dict[str, TopicSnapshot] = {}
-        try:
-            for spec in self._topics:
-                done = completed.completed_for(spec.key) if completed else {}
-                topics[spec.key] = self._collect_topic(
-                    spec,
-                    with_comments,
-                    done,
-                    prefetched=shard_outcomes.get(spec.key) if use_shards else None,
-                    shard_usage=shard_usage.pop(spec.key, None),
-                    shard_error=shard_errors.get(spec.key),
-                )
-        except QuotaExceededError:
-            # Worker spend of topics the abort never reached is still real;
-            # fold it in so the ledger reflects actual consumption.
-            for leftover in list(shard_usage.values()):
-                try:
-                    service.quota.absorb(leftover)
-                except QuotaExceededError:
-                    pass  # already aborting for quota
-            raise
+        for spec in self._topics:
+            done = completed.completed_for(spec.key) if completed else {}
+            topics[spec.key] = self._collect_topic(spec, with_comments, done)
         self._observer.on_snapshot_end(
             index,
             service.clock.now(),
@@ -230,41 +162,24 @@ class SnapshotCollector:
         self,
         spec: TopicSpec,
         with_comments: bool,
-        completed: dict[int, tuple[list[str], int]] | None = None,
-        prefetched: dict[int, tuple[list[str], int]] | None = None,
-        shard_usage: dict[str, int] | None = None,
-        shard_error: tuple[int, str] | None = None,
+        completed: dict[int, tuple[list[str], int]],
     ) -> TopicSnapshot:
         service = self._client.service
         collected_at = service.clock.now()
         self._observer.on_topic_start(spec.key, collected_at)
         units_before = service.quota.total_used
-        if shard_usage:
-            # Reconcile this topic's worker spend into the parent ledger
-            # before assembling results, so the topic.end units delta (and a
-            # possible combined-usage quota error) land inside the topic
-            # span exactly as serial billing would.
-            service.quota.absorb(shard_usage)
         hour_video_ids: dict[int, list[str]] = {}
         pool_sizes: dict[int, int] = {}
         missing_hours: list[int] = []
-        completed = completed or {}
 
         bounds = self._bounds_for(spec)
-        parallel = (
-            self._collect_hours_parallel(spec, bounds, completed)
-            if self._workers > 1 and prefetched is None
-            else {}
-        )
-
+        search_cost = service.quota.cost_of("search.list")
         swept = None
         verdict = sweep_eligibility(
             self._client,
             engine=self._engine,
-            workers=self._workers,
             tolerate_failures=self._tolerate_failures,
             resumed_bins=bool(completed),
-            prefetched=prefetched is not None,
         )
         if verdict.eligible:
             # One plan for the whole topic: engine pass, bulk records, one
@@ -278,7 +193,7 @@ class SnapshotCollector:
                     spec.key,
                     bins=len(bounds),
                     calls=calls,
-                    units=calls * service.quota.cost_of("search.list"),
+                    units=calls * search_cost,
                     videos=sum(len(hour.ids) for hour in swept),
                 )
 
@@ -288,61 +203,37 @@ class SnapshotCollector:
             elif swept is not None:
                 # Batch path: every page is already billed and recorded;
                 # the per-bin bookkeeping (query summary, checkpoint
-                # record) still runs bin by bin so resumes and metrics are
+                # record with the bin's own spend) still runs bin by bin
+                # so resumes, journaled billing and metrics are
                 # indistinguishable from the per-call loop.
                 hour = swept[hour_index]
                 ids, pool = hour.ids, hour.total_results
                 self._observer.on_search_query(hour.pages, len(ids))
                 if self._partial is not None:
-                    self._partial.record_hour(spec.key, hour_index, ids, pool)
+                    self._partial.record_hour(
+                        spec.key, hour_index, ids, pool, hour.pages * search_cost
+                    )
             else:
-                if prefetched is not None:
-                    entry = prefetched.get(hour_index)
-                    if entry is None:
-                        # The shard stopped before this bin; surface its
-                        # quota error at the same plan position the serial
-                        # sweep would have raised it.
-                        if shard_error is not None:
-                            raise QuotaExceededError(shard_error[1])
-                        raise RuntimeError(
-                            f"process backend returned no result for "
-                            f"{spec.key} hour {hour_index}"
-                        )
-                    outcome: tuple[list[str], int] | Exception = entry
-                elif self._workers > 1:
-                    outcome = parallel[hour_index]
-                else:
-                    after, before = bounds[hour_index]
-                    try:
-                        outcome = self._query_hour(spec, after, before)
-                    except QuotaExceededError:
-                        raise  # a scheduling event, never a degraded bin
-                    except (ApiError, CircuitOpenError) as exc:
-                        if not self._tolerate_failures:
-                            raise
-                        outcome = exc
-                if isinstance(outcome, Exception):
+                after, before = bounds[hour_index]
+                spent_before = service.quota.total_used
+                try:
+                    ids, pool = self._query_hour(spec, after, before)
+                except QuotaExceededError:
+                    raise  # a scheduling event, never a degraded bin
+                except (ApiError, CircuitOpenError) as exc:
+                    if not self._tolerate_failures:
+                        raise
                     missing_hours.append(hour_index)
                     self._observer.on_degraded(
                         "hour-bin",
-                        f"{spec.key} hour {hour_index}: {type(outcome).__name__}",
+                        f"{spec.key} hour {hour_index}: {type(exc).__name__}",
                     )
                     continue
-                ids, pool = outcome
-                if prefetched is not None:
-                    # Workers bill pages in their own processes; replay the
-                    # per-query summary so parent-side metrics keep parity
-                    # with the serial path (per-call api.call events are
-                    # replaced by the shard.dispatch/merge spans).
-                    self._observer.on_search_query(
-                        max(1, (len(ids) + 49) // 50), len(ids)
+                if self._partial is not None:
+                    self._partial.record_hour(
+                        spec.key, hour_index, ids, pool,
+                        service.quota.total_used - spent_before,
                     )
-                # The thread path already recorded the bin, in hour order,
-                # while consuming futures.
-                if self._partial is not None and (
-                    self._workers == 1 or prefetched is not None
-                ):
-                    self._partial.record_hour(spec.key, hour_index, ids, pool)
             pool_sizes[hour_index] = pool
             if ids:
                 hour_video_ids[hour_index] = ids
@@ -379,138 +270,6 @@ class SnapshotCollector:
             ]
             self._hour_bounds[spec.key] = bounds
         return bounds
-
-    def _ensure_shard_backend(self):
-        """The lazily-created process pool (import deferred off serial path)."""
-        if self._shard_backend is None:
-            from repro.core.shard import ProcessShardBackend
-
-            self._shard_backend = ProcessShardBackend(
-                self._client.service, self._workers, self._topics
-            )
-        return self._shard_backend
-
-    def _collect_process(
-        self,
-        index: int,
-        collected_at: datetime,
-        completed,
-    ) -> tuple[
-        dict[str, dict[int, tuple[list[str], int]]],
-        dict[str, dict[str, int]],
-        dict[str, tuple[int, str]],
-    ]:
-        """Run the snapshot's remaining hour-bin plan on the process backend.
-
-        The full topic-major plan (minus bins a partial checkpoint already
-        completed) is partitioned into contiguous shards and executed in
-        worker processes; results come back as per-topic outcome maps, the
-        per-topic quota spend of the worker sub-ledgers (absorbed into the
-        parent ledger as each topic is assembled), and the first per-topic
-        quota error, keyed so :meth:`_collect_topic` re-raises it at the
-        same plan position the serial sweep would have.
-        """
-        service = self._client.service
-        backend = self._ensure_shard_backend()
-        items: list[tuple[str, int]] = []
-        for spec in self._topics:
-            done = completed.completed_for(spec.key) if completed else {}
-            items.extend(
-                (spec.key, hour)
-                for hour in range(len(self._bounds_for(spec)))
-                if hour not in done
-            )
-        outcomes: dict[str, dict[int, tuple[list[str], int]]] = {
-            spec.key: {} for spec in self._topics
-        }
-        usage: dict[str, dict[str, int]] = {}
-        errors: dict[str, tuple[int, str]] = {}
-        if not items:
-            return outcomes, usage, errors
-        shards = backend.plan(items)
-        for shard_id, shard_items in enumerate(shards):
-            self._observer.on_shard_dispatch(
-                shard_id,
-                index,
-                tuple(dict.fromkeys(topic for topic, _ in shard_items)),
-                len(shard_items),
-            )
-        results, _tasks = backend.run_snapshot(index, collected_at, shards)
-        calls: dict[str, int] = {}
-        latency_ms = 0.0
-        for result in results:
-            units = sum(
-                n for per_day in result.usage.values() for n in per_day.values()
-            )
-            self._observer.on_shard_merge(
-                result.shard_id, index, result.queries, units, result.wall_s
-            )
-            for topic, hour, ids, pool in result.hours:
-                outcomes[topic][hour] = (ids, pool)
-            for topic, per_day in result.usage.items():
-                bucket = usage.setdefault(topic, {})
-                for day, n in per_day.items():
-                    bucket[day] = bucket.get(day, 0) + n
-            if result.calls:
-                calls["search.list"] = calls.get("search.list", 0) + result.calls
-            latency_ms += result.latency_ms
-            if result.error is not None:
-                topic, hour, errtype, message = result.error
-                if errtype != "QuotaExceededError":
-                    raise RuntimeError(
-                        f"shard {result.shard_id} failed on {topic} hour "
-                        f"{hour}: {errtype}: {message}"
-                    )
-                previous = errors.get(topic)
-                if previous is None or hour < previous[0]:
-                    errors[topic] = (hour, message)
-        if calls or latency_ms:
-            service.transport.absorb(calls, latency_ms)
-        return outcomes, usage, errors
-
-    def _collect_hours_parallel(
-        self,
-        spec: TopicSpec,
-        bounds: list[tuple[str, str]],
-        completed: dict[int, tuple[list[str], int]],
-    ) -> dict[int, tuple[list[str], int] | Exception]:
-        """Fan the topic's hour-bin queries over the thread pool.
-
-        Futures are consumed in hour-index order from the calling thread,
-        so partial-checkpoint records, degradation decisions, and the
-        propagated exception (if any) all match what the serial loop would
-        have produced for the same per-hour outcomes.  On a propagating
-        failure, not-yet-started bins are cancelled; bins already in
-        flight may still complete (and bill quota) before the pool drains.
-        """
-        outcomes: dict[int, tuple[list[str], int] | Exception] = {}
-        with ThreadPoolExecutor(
-            max_workers=self._workers, thread_name_prefix=f"collect-{spec.key}"
-        ) as pool:
-            futures = {
-                i: pool.submit(self._query_hour, spec, after, before)
-                for i, (after, before) in enumerate(bounds)
-                if i not in completed
-            }
-            try:
-                for i in sorted(futures):
-                    try:
-                        outcomes[i] = futures[i].result()
-                    except QuotaExceededError:
-                        raise  # a scheduling event, never a degraded bin
-                    except (ApiError, CircuitOpenError) as exc:
-                        if not self._tolerate_failures:
-                            raise
-                        outcomes[i] = exc
-                        continue
-                    if self._partial is not None:
-                        ids, pool_size = outcomes[i]
-                        self._partial.record_hour(spec.key, i, ids, pool_size)
-            except BaseException:
-                for future in futures.values():
-                    future.cancel()
-                raise
-        return outcomes
 
     def _query_hour(
         self, spec: TopicSpec, published_after: str, published_before: str

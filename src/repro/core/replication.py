@@ -172,12 +172,13 @@ def run_replication(
 ) -> ReplicationSummary:
     """Run one scaled campaign per seed and summarize.
 
-    ``workers > 1`` fans the seeds out over a process pool (the same
-    fork-preferred machinery as ``backend="process"`` collection —
-    replicates are CPU-bound pure Python, so threads cannot help).  Every
-    replicate is a pure function of its seed with its own world, service,
-    ledgers, and RNG streams, and outcomes are collected in seed order,
-    so the summary is identical for any worker count.
+    ``workers > 1`` fans the seeds out over a process pool (``fork``
+    where available, else ``spawn`` — replicates are CPU-bound pure
+    Python, so threads cannot help).  Every replicate is a pure function
+    of its seed with its own world, service, ledgers, and RNG streams, and
+    outcomes are collected in seed order, so the summary is identical for
+    any worker count.  Nothing is shared across the pool: each worker
+    collects serially.
     """
     if not seeds:
         raise ValueError("at least one seed required")

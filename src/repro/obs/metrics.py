@@ -126,7 +126,9 @@ class MetricsRegistry:
         self._kinds: dict[str, str] = {}
         self._histogram_bounds: dict[str, tuple[float, ...]] = {}
         # Instrument creation and the read-modify-write verbs are serialized
-        # so the parallel collector's worker threads can't lose updates.
+        # so threads sharing one observer (the serve gateway's HTTP executor
+        # and campaign-job threads, the orchestrator's workers) can't lose
+        # updates.
         self._lock = threading.RLock()
 
     # -- instrument access ----------------------------------------------------

@@ -114,18 +114,6 @@ class Observer:
     def on_checkpoint(self, action: str, path: str, snapshots: int) -> None:
         """A campaign checkpoint was saved or resumed (``action`` in save/resume)."""
 
-    # -- process-shard layer ---------------------------------------------------
-
-    def on_shard_dispatch(
-        self, shard: int, index: int, topics: tuple[str, ...], hours: int
-    ) -> None:
-        """A shard of snapshot ``index`` was handed to a worker process."""
-
-    def on_shard_merge(
-        self, shard: int, index: int, queries: int, units: int, wall_s: float
-    ) -> None:
-        """A shard's results were merged back (its span, seen from the parent)."""
-
     # -- analysis layer --------------------------------------------------------
 
     def on_index_build(
@@ -344,28 +332,6 @@ class CampaignObserver(Observer):
         self.metrics.inc("campaign.checkpoints", action=action)
         self.tracer.emit(
             "campaign.checkpoint", action=action, path=path, snapshots=snapshots
-        )
-
-    # -- process-shard layer ---------------------------------------------------
-
-    def on_shard_dispatch(
-        self, shard: int, index: int, topics: tuple[str, ...], hours: int
-    ) -> None:
-        self.metrics.inc("shard.dispatches")
-        self.tracer.emit(
-            "shard.dispatch", shard=shard, index=index,
-            topics=list(topics), hours=hours,
-        )
-
-    def on_shard_merge(
-        self, shard: int, index: int, queries: int, units: int, wall_s: float
-    ) -> None:
-        self.metrics.inc("shard.merges")
-        self.metrics.inc("shard.units", units)
-        self.metrics.observe("shard.wall_s", wall_s)
-        self.tracer.emit(
-            "shard.merge", shard=shard, index=index, queries=queries,
-            units=units, wall_s=round(wall_s, 6),
         )
 
     # -- analysis layer --------------------------------------------------------

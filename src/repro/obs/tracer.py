@@ -44,8 +44,6 @@ EVENT_TYPES = (
     "snapshot.start",
     "snapshot.end",
     "campaign.checkpoint",
-    "shard.dispatch",
-    "shard.merge",
     "index.build",
     "index.append",
     "spill.write",
@@ -88,8 +86,10 @@ class Tracer:
     def __init__(self, strict: bool = True) -> None:
         self._strict = strict
         self.events: list[TraceEvent] = []
-        # seq assignment reads len(events) before appending; serialized so
-        # the parallel collector's workers can't mint duplicate seqs.
+        # seq assignment reads len(events) before appending; serialized
+        # because one tracer is shared by the serve gateway's HTTP executor
+        # and campaign-job threads and the orchestrator's worker threads
+        # (``repro serve`` / ``repro orchestrate`` attach one observer).
         self._lock = threading.Lock()
 
     def emit(self, type: str, at: datetime | None = None, **fields) -> TraceEvent:

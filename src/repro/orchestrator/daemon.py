@@ -100,7 +100,7 @@ class JournalPartialStore:
     clear`` plus ``path``), but backed by journal records instead of a
     sidecar file — which buys two things the sidecar cannot give:
 
-    * the bin record carries **billing** (the sub-ledger's unit delta and
+    * the bin record carries **billing** (the bin's own quota spend and
       the virtual day it was charged on), making the journal the single
       authoritative quota stream — there is no torn boundary between a
       data file and a billing file because they are one record;
@@ -116,7 +116,6 @@ class JournalPartialStore:
         self._cid = campaign_id
         self._service = service
         self.path = f"{daemon.journal.journal_path}#{campaign_id}"
-        self._units_baseline = service.quota.total_used
 
     def _campaign(self) -> CampaignState:
         return self._daemon.state.campaigns[self._cid]
@@ -146,15 +145,14 @@ class JournalPartialStore:
             "snapshot": index,
             "collected_at": format_rfc3339(collected_at),
         })
-        self._units_baseline = self._service.quota.total_used
 
-    def record_hour(self, topic: str, hour: int, ids: list[str], pool: int) -> None:
-        # The sub-ledger delta since the previous completed bin is exactly
-        # this bin's spend: the campaign runs serially (workers=1, no
-        # metadata sweep), so nothing else bills between two bins.
-        used = self._service.quota.total_used
-        units = used - self._units_baseline
-        self._units_baseline = used
+    def record_hour(
+        self, topic: str, hour: int, ids: list[str], pool: int, units: int
+    ) -> None:
+        # ``units`` is the bin's own spend as the collector measured it, not
+        # a ledger delta: the batch engine bills a whole topic before it
+        # records the first bin, and a kill -9 mid-topic must not journal
+        # the pages of bins the resume will query (and bill) again.
         with self._daemon._lock:
             index = self._campaign().partial_index
         self._daemon._journal_apply({
@@ -725,7 +723,6 @@ class OrchestratorDaemon:
                 spill=self.campaign_path(cid),
                 retain_snapshots=False,
                 partial=store,
-                workers=1, backend="serial",
             )
         else:
             run_campaign(
@@ -733,5 +730,4 @@ class OrchestratorDaemon:
                 progress=boundary,
                 checkpoint_path=self.campaign_path(cid),
                 partial=store,
-                workers=1, backend="serial",
             )

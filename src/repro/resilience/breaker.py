@@ -116,8 +116,9 @@ class CircuitBreaker:
         self._circuits: dict[str, _Circuit] = {}
         #: Total calls rejected locally, per endpoint (quota/attempts saved).
         self.rejected: dict[str, int] = {}
-        # State transitions are read-modify-write on _Circuit; the parallel
-        # collector shares one breaker across worker threads.
+        # State transitions are read-modify-write on _Circuit; one breaker
+        # is shared by the orchestrator's worker threads and the serve
+        # gateway's HTTP executor threads (``SimulatorGateway.breaker``).
         self._lock = threading.RLock()
 
     def state(self, endpoint: str) -> CircuitState:

@@ -21,15 +21,12 @@ process was killed) is tolerated and dropped — its hour bin is simply
 re-queried, which is always safe because bins are only recorded *after*
 their results are complete.
 
-The store is shard-aware in the sense that matters: every collection
-backend records through it in deterministic *plan order* from the parent
-process — the serial loop as bins complete, the thread pool while
-consuming futures in hour order, and the process-shard backend while
-merging shard results topic-by-topic — so the sidecar's contents after a
-crash are a plan-order prefix (per topic) regardless of backend, and a
-resume under *any* backend replays it identically.  Completed bins are
-also subtracted from the shard plan before partitioning, so a resumed
-process-backed snapshot never re-executes them in workers.
+Both collection engines record through the store bin by bin, in hour
+order, from the collecting thread — the per-call loop as each bin
+completes, the batch engine as it walks its finished sweep — so the
+sidecar's contents after a crash are an hour-order prefix per topic, and a
+resume under either engine replays it identically (resumed topics always
+take the per-call path; see :mod:`repro.core.batch`).
 """
 
 from __future__ import annotations
@@ -81,8 +78,15 @@ class PartialSnapshotStore:
             }, sort_keys=True))
             fh.write("\n")
 
-    def record_hour(self, topic: str, hour: int, ids: list[str], pool: int) -> None:
-        """Append one completed hour-bin query (flushed immediately)."""
+    def record_hour(
+        self, topic: str, hour: int, ids: list[str], pool: int, units: int = 0
+    ) -> None:
+        """Append one completed hour-bin query (flushed immediately).
+
+        ``units`` is the quota the bin's queries spent.  The sidecar does
+        not record it; stores that journal billing (the orchestrator's
+        :class:`~repro.orchestrator.daemon.JournalPartialStore`) do.
+        """
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps({
                 "kind": "hour",

@@ -71,8 +71,10 @@ class RetryBudget:
             raise ValueError("retry budget limit must be non-negative")
         self.limit = limit
         self.used = 0
-        # The budget is shared across the parallel collector's workers;
-        # spend() is check-then-increment, so it must be atomic.
+        # spend() is check-then-increment, so it must be atomic if the
+        # budget is shared across threads.  No in-repo caller does so
+        # today: the orchestrator and the chaos runner each give one
+        # campaign its own budget, driven from one thread.
         self._lock = threading.Lock()
 
     @property
@@ -144,8 +146,9 @@ class RetryPolicy:
         self.budget = budget
         self.max_pagination_restarts = max_pagination_restarts
         self._rng = SeedBank(seed).generator("resilience/retry-jitter")
-        # The jitter generator is stateful and shared when one policy
-        # serves the parallel collector's workers.
+        # The jitter generator is stateful; the lock keeps a policy safe to
+        # share across threads.  No in-repo caller does so today: each
+        # client (one per orchestrator campaign) owns its policy.
         self._rng_lock = threading.Lock()
 
     # -- classification --------------------------------------------------------

@@ -29,8 +29,10 @@ Cache invariants:
   engine with different :class:`BehaviorParams` starts cold and can never
   observe another parameterization's memos.
 
-The caches are guarded by a lock so the parallel collector
-(``SnapshotCollector(workers=N)``) can share one engine across threads.
+The caches are guarded by a lock so one engine stays safe to share
+across threads.  No in-repo caller does so concurrently today: the serve
+gateway's warm service, the only engine several threads reach, is called
+under the gateway's backend lock.
 """
 
 from __future__ import annotations
@@ -228,11 +230,6 @@ class SearchBehaviorEngine:
     def params(self) -> BehaviorParams:
         """The mechanism parameters in effect."""
         return self._params
-
-    @property
-    def seed(self) -> int:
-        """The world/behavior seed (what a shard worker must rebuild with)."""
-        return self._seed
 
     def topic_runtime(self, key: str) -> _TopicRuntime:
         """Expose a topic's runtime (used by tests and ablations)."""
@@ -489,7 +486,7 @@ class SearchBehaviorEngine:
 
         :meth:`ChurnProcess.latent_at` is a pure function of the request
         *date* but advances internal state, so the lookup is serialized
-        behind the cache lock for the parallel collector.
+        behind the cache lock.
         """
         key = (runtime.spec.key, request_label)
         latent = self._latent_cache.get(key)

@@ -83,10 +83,7 @@ def _run(world, specs, tmp_path, name, **kwargs):
 @pytest.fixture(scope="module")
 def percall_run(tiny_world, tiny_specs, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("percall")
-    return _run(
-        tiny_world, tiny_specs, tmp, "percall",
-        backend="serial", engine="per-call",
-    )
+    return _run(tiny_world, tiny_specs, tmp, "percall", engine="per-call")
 
 
 class TestCampaignIdentity:
@@ -95,33 +92,8 @@ class TestCampaignIdentity:
     def test_batch_serial_is_byte_identical(
         self, tiny_world, tiny_specs, tmp_path, percall_run
     ):
-        got = _run(
-            tiny_world, tiny_specs, tmp_path, "batch",
-            backend="serial", engine="batch",
-        )
+        got = _run(tiny_world, tiny_specs, tmp_path, "batch", engine="batch")
         assert got == percall_run
-
-    def test_batch_thread_is_byte_identical(
-        self, tiny_world, tiny_specs, tmp_path, percall_run
-    ):
-        # workers > 1 falls back per topic; the contract is that the
-        # engine flag never changes campaign bytes on any backend.
-        payload, usage, _calls = _run(
-            tiny_world, tiny_specs, tmp_path, "thread",
-            workers=4, backend="thread", engine="batch",
-        )
-        assert payload == percall_run[0]
-        assert usage == percall_run[1]
-
-    def test_batch_process_is_byte_identical(
-        self, tiny_world, tiny_specs, tmp_path, percall_run
-    ):
-        payload, usage, _calls = _run(
-            tiny_world, tiny_specs, tmp_path, "process",
-            workers=4, backend="process", engine="batch",
-        )
-        assert payload == percall_run[0]
-        assert usage == percall_run[1]
 
     def test_unknown_engine_rejected(self, session_client, small_specs):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -402,8 +374,7 @@ class TestFallbackMatrix:
 
     def _verdict(self, client, **overrides):
         kwargs = dict(
-            engine="batch", workers=1, tolerate_failures=False,
-            resumed_bins=False, prefetched=False,
+            engine="batch", tolerate_failures=False, resumed_bins=False
         )
         kwargs.update(overrides)
         return sweep_eligibility(client, **kwargs)
@@ -415,17 +386,11 @@ class TestFallbackMatrix:
         verdict = self._verdict(fresh_client, engine="per-call")
         assert not verdict.eligible and verdict.reason == "engine=per-call"
 
-    def test_parallel_workers_fall_back(self, fresh_client):
-        assert not self._verdict(fresh_client, workers=4).eligible
-
     def test_tolerate_failures_falls_back(self, fresh_client):
         assert not self._verdict(fresh_client, tolerate_failures=True).eligible
 
     def test_resumed_bins_fall_back(self, fresh_client):
         assert not self._verdict(fresh_client, resumed_bins=True).eligible
-
-    def test_prefetch_falls_back(self, fresh_client):
-        assert not self._verdict(fresh_client, prefetched=True).eligible
 
     def test_armed_fault_injector_falls_back(self, small_world, small_specs):
         service = build_service(
@@ -483,6 +448,51 @@ class TestFallbackMatrix:
             engine="per-call",
         )
         assert observer.tracer.of_type("collect.sweep") == []
+
+
+class _BinRecorder:
+    """A partial store that keeps each recorded bin's reported spend."""
+
+    path = "memory"
+
+    def __init__(self) -> None:
+        self.bins: list[tuple[str, int, int]] = []
+
+    def load(self):
+        return None
+
+    def begin(self, index, collected_at) -> None:
+        pass
+
+    def record_hour(self, topic, hour, ids, pool, units) -> None:
+        self.bins.append((topic, hour, units))
+
+    def clear(self) -> None:
+        pass
+
+
+class TestPerBinSpend:
+    """Both engines report each bin's own spend to the partial store."""
+
+    def test_engines_record_identical_per_bin_units(
+        self, tiny_world, tiny_specs
+    ):
+        recorded = {}
+        for engine in ENGINES:
+            service = build_service(
+                tiny_world, seed=SEED, specs=tiny_specs,
+                quota_policy=QuotaPolicy(researcher_program=True),
+            )
+            recorder = _BinRecorder()
+            SnapshotCollector(
+                YouTubeClient(service), tiny_specs, collect_metadata=False,
+                partial=recorder, engine=engine,
+            ).collect(0)
+            assert sum(units for *_, units in recorder.bins) == (
+                service.quota.total_used
+            )
+            recorded[engine] = recorder.bins
+        assert recorded["batch"] == recorded["per-call"]
 
 
 class TestQuotaShortfall:

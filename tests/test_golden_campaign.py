@@ -1,18 +1,18 @@
-"""Golden campaign test: every backend must reproduce the pinned bytes.
+"""Golden campaign test: both engines must reproduce the pinned bytes.
 
 ``tests/golden/campaign_reduced.json`` pins the sha256 (and size, video
 count, and quota spend) of a reduced-scale seed-20250209 campaign saved
-as JSONL.  The tests here run that exact campaign on the serial path, the
-thread pool (``workers=4``), and the process-shard backend
-(``workers=4, backend="process"``) and assert all three produce
-**byte-identical** files matching the golden hash — the determinism
-contract the whole repository rests on, now enforced across execution
-backends.  The same three backends are re-run over a world built with
-``use_columnar=False`` (the eager oracle assembly path), pinning the
-columnar and legacy builders to the same bytes.
+as JSONL.  The tests here run that exact campaign on the default batch
+engine and on the per-call engine (``engine="per-call"``, the reference
+path faults, resume, and ``tolerate_failures`` run on) and assert both
+produce files matching the golden hash, size, and quota spend — the
+determinism contract the whole repository rests on.  Both engines are
+re-run over a world built with ``use_columnar=False`` (the eager oracle
+assembly path), pinning the columnar and legacy builders to the same
+bytes.
 
 Regeneration recipe (only when the *simulator's data model* legitimately
-changes — never to paper over a backend divergence)::
+changes — never to paper over an engine divergence)::
 
     PYTHONPATH=src python - <<'EOF'
     import dataclasses, hashlib, json, tempfile
@@ -87,8 +87,8 @@ def legacy_world(golden_specs):
     return build_world(golden_specs, seed=GOLDEN["seed"], use_columnar=False)
 
 
-def _run(golden_world, golden_specs, tmp_path, name, **collector_kwargs):
-    """Run the golden campaign on one backend; return (bytes, units)."""
+def _run(golden_world, golden_specs, tmp_path, name, **campaign_kwargs):
+    """Run the golden campaign on one engine; return (bytes, units)."""
     service = build_service(
         golden_world,
         seed=GOLDEN["seed"],
@@ -101,75 +101,44 @@ def _run(golden_world, golden_specs, tmp_path, name, **collector_kwargs):
         skipped_indices=frozenset(),
         comment_snapshot_indices=(),
     )
-    campaign = run_campaign(config, YouTubeClient(service), **collector_kwargs)
+    campaign = run_campaign(config, YouTubeClient(service), **campaign_kwargs)
     path = tmp_path / f"{name}.jsonl"
     campaign.save(path)
     return path.read_bytes(), service.quota.total_used
 
 
-@pytest.fixture(scope="module")
-def serial_run(golden_world, golden_specs, tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("golden-serial")
-    return _run(golden_world, golden_specs, tmp, "serial", backend="serial")
+def _assert_golden(payload: bytes, units: int) -> None:
+    assert hashlib.sha256(payload).hexdigest() == GOLDEN["sha256"]
+    assert len(payload) == GOLDEN["bytes"]
+    assert units == GOLDEN["quota_units"]
 
 
 class TestGoldenCampaign:
-    def test_serial_matches_golden_sha256(self, serial_run):
-        payload, units = serial_run
-        assert hashlib.sha256(payload).hexdigest() == GOLDEN["sha256"]
-        assert len(payload) == GOLDEN["bytes"]
-        assert units == GOLDEN["quota_units"]
-
-    def test_thread_backend_is_byte_identical(
-        self, golden_world, golden_specs, tmp_path, serial_run
+    def test_serial_matches_golden_sha256(
+        self, golden_world, golden_specs, tmp_path
     ):
-        payload, units = _run(
-            golden_world, golden_specs, tmp_path, "thread",
-            workers=4, backend="thread",
-        )
-        assert payload == serial_run[0]
-        assert units == serial_run[1]
+        _assert_golden(*_run(golden_world, golden_specs, tmp_path, "serial"))
 
-    def test_process_backend_is_byte_identical(
-        self, golden_world, golden_specs, tmp_path, serial_run
+    def test_per_call_engine_matches_golden_sha256(
+        self, golden_world, golden_specs, tmp_path
     ):
-        payload, units = _run(
-            golden_world, golden_specs, tmp_path, "process",
-            workers=4, backend="process",
-        )
-        assert payload == serial_run[0]
-        assert units == serial_run[1]
+        _assert_golden(*_run(
+            golden_world, golden_specs, tmp_path, "per-call",
+            engine="per-call",
+        ))
 
     def test_legacy_world_serial_matches_golden_sha256(
         self, legacy_world, golden_specs, tmp_path
     ):
-        payload, units = _run(
-            legacy_world, golden_specs, tmp_path, "legacy-serial",
-            backend="serial",
-        )
-        assert hashlib.sha256(payload).hexdigest() == GOLDEN["sha256"]
-        assert len(payload) == GOLDEN["bytes"]
-        assert units == GOLDEN["quota_units"]
+        _assert_golden(*_run(legacy_world, golden_specs, tmp_path, "legacy"))
 
-    def test_legacy_world_thread_backend_matches_golden_sha256(
+    def test_legacy_world_per_call_engine_matches_golden_sha256(
         self, legacy_world, golden_specs, tmp_path
     ):
-        payload, units = _run(
-            legacy_world, golden_specs, tmp_path, "legacy-thread",
-            workers=4, backend="thread",
-        )
-        assert hashlib.sha256(payload).hexdigest() == GOLDEN["sha256"]
-        assert units == GOLDEN["quota_units"]
-
-    def test_legacy_world_process_backend_matches_golden_sha256(
-        self, legacy_world, golden_specs, tmp_path
-    ):
-        payload, units = _run(
-            legacy_world, golden_specs, tmp_path, "legacy-process",
-            workers=4, backend="process",
-        )
-        assert hashlib.sha256(payload).hexdigest() == GOLDEN["sha256"]
-        assert units == GOLDEN["quota_units"]
+        _assert_golden(*_run(
+            legacy_world, golden_specs, tmp_path, "legacy-per-call",
+            engine="per-call",
+        ))
 
     def test_golden_fixture_is_well_formed(self):
         assert set(GOLDEN) == {

@@ -492,8 +492,8 @@ class TestAnalysisBattery:
 
 class TestParallelReplication:
     """The seed fan-out must be invisible in the results: any worker
-    count, same summary (single-core machines run workers=1 in the
-    benchmark; this equality test is what locks the parallel path)."""
+    count, same summary (the benchmark times replication serially, so
+    this equality test is what locks the parallel path)."""
 
     def _tiny(self, workers: int):
         from repro.core.replication import run_replication

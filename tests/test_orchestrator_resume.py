@@ -122,6 +122,24 @@ class TestResumeAfterCompaction:
         assert restarted.state.to_dict() == daemon.state.to_dict()
 
 
+class TestJournaledBilling:
+    def test_batch_swept_bins_journal_their_own_spend(self, gateway, tmp_path):
+        # The default batch engine bills a whole topic before it records
+        # the first bin.  Each journaled bin must still carry only its own
+        # page, or a kill -9 mid-topic would leave every page on the first
+        # bins and the resume would bill the rest again (the failure
+        # tools/orchestrator_smoke.py catches with a real SIGKILL).
+        daemon = OrchestratorDaemon(gateway, tmp_path / "orch")
+        key = gateway.mint_key(daily_limit=10_000)
+        daemon.start()
+        cid = daemon.submit(key.credential, collections=1)["campaignId"]
+        assert daemon.wait_idle(timeout=60)
+        bins = daemon.state.campaigns[cid].bins
+        daemon.drain()
+        assert len(bins) == SNAPSHOT_UNITS // 100
+        assert {entry["units"] for entry in bins.values()} == {100}
+
+
 class TestResumeIdempotence:
     def test_double_resume_enqueues_once(self, gateway, tmp_path):
         daemon = OrchestratorDaemon(gateway, tmp_path / "orch")

@@ -1,33 +1,29 @@
 """Golden-equivalence and cache-correctness tests for the campaign fast path.
 
-The fast path (query-plan caching, vectorized selection, parallel
-collection — see ``docs/PERFORMANCE.md``) is only admissible because it is
-*byte-identical* to the reference semantics.  These tests pin that claim:
+The fast path (query-plan caching, vectorized selection — see
+``docs/PERFORMANCE.md``) is only admissible because it is *byte-identical*
+to the reference semantics.  These tests pin that claim:
 
-* the same campaign serializes to the same bytes whether collected
-  serially or with ``workers=4``;
 * repeated identical requests return identical responses (caches are
   transparent);
 * cache keys cannot collide across queries, channels, or engine
   parameterizations;
-* the shared mutable state the parallel collector touches (quota ledger)
-  survives concurrent use.
+* the locked shared state (a quota ledger, as the serve gateway's HTTP
+  threads share a tenant's; an engine's caches) survives concurrent use.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
-from repro.api import QuotaPolicy, YouTubeClient, build_service
+from repro.api import QuotaPolicy
 from repro.api.errors import QuotaExceededError
 from repro.api.matching import _phrase_pattern, parse_query
 from repro.api.quota import QuotaLedger
-from repro.core import paper_campaign_config, run_campaign
 from repro.sampling.engine import BehaviorParams, SearchBehaviorEngine
 from repro.util.rng import stable_hash
 from repro.util.timeutil import UTC, format_rfc3339, parse_rfc3339
@@ -40,7 +36,7 @@ SEED = 20250209
 
 @pytest.fixture(scope="module")
 def tiny_specs():
-    """An extra-small corpus so two full campaigns stay fast."""
+    """An extra-small corpus so the engine tests stay fast."""
     return scale_topics(paper_topics(), 0.05)
 
 
@@ -49,27 +45,7 @@ def tiny_world(tiny_specs):
     return build_world(tiny_specs, seed=SEED)
 
 
-def _run_tiny_campaign(world, specs, tmp_path, name, workers):
-    service = build_service(
-        world, seed=SEED, specs=specs,
-        quota_policy=QuotaPolicy(researcher_program=True),
-    )
-    cfg = paper_campaign_config(topics=specs)
-    cfg = dataclasses.replace(cfg, n_scheduled=2, skipped_indices=frozenset())
-    result = run_campaign(cfg, YouTubeClient(service), workers=workers)
-    out = tmp_path / name
-    result.save(out)
-    return out.read_bytes()
-
-
 class TestGoldenEquivalence:
-    def test_parallel_campaign_is_byte_identical_to_serial(
-        self, tiny_world, tiny_specs, tmp_path
-    ):
-        serial = _run_tiny_campaign(tiny_world, tiny_specs, tmp_path, "serial.jsonl", 1)
-        parallel = _run_tiny_campaign(tiny_world, tiny_specs, tmp_path, "par.jsonl", 4)
-        assert serial == parallel
-
     def test_repeated_identical_request_is_identical(self, fresh_client, small_specs):
         spec = small_specs[0]
         params = dict(

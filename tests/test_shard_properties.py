@@ -1,21 +1,19 @@
-"""Property-based tests over the shard/quota/time primitives.
+"""Property-based tests over the quota/hash/time primitives.
 
 Seeded ``random`` sweeps (no extra dependencies): each test draws a few
 hundred cases from a fixed-seed generator, so failures are reproducible
 while still covering a much wider input space than hand-picked examples.
 
-The invariants pinned here are exactly the ones the process-shard backend
-leans on:
+The invariants pinned here:
 
-* RFC3339 round-trips losslessly (workers and the parent exchange hour
-  windows through both representations);
+* RFC3339 round-trips losslessly (the collector formats hour windows to
+  strings and the search endpoint parses them back);
 * ``stable_hash`` depends only on the *values* of its parts, not on how
-  the caller's strings were built or reused (shard latency seeds are
-  derived from it);
-* the quota ledger conserves units under concurrent charge/refund
-  (parallel collection shares one ledger);
-* :func:`repro.core.shard.partition_work` produces disjoint, covering,
-  order-preserving shards, so a keyed merge is order-independent.
+  the caller's strings were built or reused (every seeded draw is keyed
+  by it);
+* the quota ledger conserves units under concurrent charge/refund (the
+  serve gateway's HTTP threads share a tenant's ledger), and ``absorb``
+  records spend even when it raises.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import pytest
 
 from repro.api.errors import QuotaExceededError
 from repro.api.quota import QuotaLedger, QuotaPolicy
-from repro.core.shard import partition_work
 from repro.util.rng import stable_hash
 from repro.util.timeutil import format_rfc3339, parse_rfc3339
 
@@ -42,9 +39,8 @@ class TestRfc3339RoundTrip:
             assert parse_rfc3339(format_rfc3339(dt)) == dt
 
     def test_whole_hour_windows_round_trip(self):
-        # The shard workers consume hour windows as datetimes while the
-        # serial path formats them to strings and parses them back inside
-        # the endpoint; both must mean the same instant.
+        # The collector formats hour windows to strings and the endpoint
+        # parses them back; both must mean the same instant.
         rng = random.Random(1)
         anchor = datetime(2025, 2, 9, tzinfo=timezone.utc)
         for _ in range(300):
@@ -59,7 +55,7 @@ class TestStableHashStability:
         rng = random.Random(2)
         for _ in range(300):
             parts = [
-                rng.choice(["shard-latency", "seed", "x", "hour"]),
+                rng.choice(["topic-latency", "seed", "x", "hour"]),
                 rng.randrange(0, 1 << 32),
                 rng.randrange(0, 64),
             ]
@@ -152,8 +148,8 @@ class TestQuotaLedgerConservation:
                     ledger.absorb(usage)
             else:
                 ledger.absorb(usage)
-            # Spend is recorded even when absorb raises: workers already
-            # spent it, and reconciliation must not hide consumption.
+            # Spend is recorded even when absorb raises: the sub-ledger
+            # already spent it, and reconciliation must not hide it.
             assert ledger.total_used == pre_charge + total
 
     def test_usage_snapshots_are_atomic_under_concurrent_charges(self):
@@ -188,51 +184,3 @@ class TestQuotaLedgerConservation:
             t.join()
         final = ledger.usage_by_day()
         assert sum(final.values()) == ledger.total_used
-
-
-class TestPartitionInvariants:
-    @staticmethod
-    def _random_plan(rng: random.Random) -> list[tuple[str, int]]:
-        topics = [f"t{i}" for i in range(rng.randrange(1, 7))]
-        return [
-            (topic, hour)
-            for topic in topics
-            for hour in range(rng.randrange(0, 40))
-        ]
-
-    def test_disjoint_cover_and_order(self):
-        rng = random.Random(6)
-        for _ in range(300):
-            items = self._random_plan(rng)
-            shards = rng.randrange(1, 12)
-            parts = partition_work(items, shards)
-            assert all(parts), "no empty shards"
-            assert len(parts) <= shards
-            flat = [item for part in parts for item in part]
-            assert flat == items, "concatenation reproduces the plan"
-            sizes = sorted(len(p) for p in parts) or [0]
-            assert sizes[-1] - sizes[0] <= 1, "balanced within one item"
-
-    def test_merge_is_order_independent(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            items = self._random_plan(rng)
-            if not items:
-                continue
-            parts = partition_work(items, rng.randrange(1, 8))
-            in_order: dict[tuple[str, int], int] = {}
-            for shard_id, part in enumerate(parts):
-                for item in part:
-                    in_order[item] = shard_id
-            shuffled = list(enumerate(parts))
-            rng.shuffle(shuffled)
-            merged: dict[tuple[str, int], int] = {}
-            for shard_id, part in shuffled:
-                for item in part:
-                    assert item not in merged, "shards are disjoint"
-                    merged[item] = shard_id
-            assert merged == in_order
-
-    def test_zero_shards_rejected(self):
-        with pytest.raises(ValueError):
-            partition_work([("a", 0)], 0)

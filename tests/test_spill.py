@@ -272,15 +272,13 @@ def golden_world():
 
 
 class TestGoldenSpill:
-    """The golden campaign spilled: every backend, the same pinned sha."""
+    """The golden campaign spilled: both engines, the same pinned sha."""
 
     @pytest.mark.parametrize(
-        "backend,workers",
-        [("serial", 1), ("thread", 4), ("process", 4)],
-        ids=["serial", "thread", "process"],
+        "engine", ["batch", "per-call"], ids=["serial", "per-call"]
     )
     def test_spilled_campaign_matches_golden_sha256(
-        self, golden_world, tmp_path, backend, workers
+        self, golden_world, tmp_path, engine
     ):
         world, specs = golden_world
         service = build_service(
@@ -297,8 +295,9 @@ class TestGoldenSpill:
             config, YouTubeClient(service),
             spill=tmp_path / "spill",
             retain_snapshots=False,
-            workers=workers, backend=backend,
+            engine=engine,
         )
+        assert service.quota.total_used == GOLDEN["quota_units"]
         store = SpillStore.open(tmp_path / "spill")
         assert store.sha256() == GOLDEN["sha256"]
         exported = tmp_path / "exported.jsonl"

@@ -71,11 +71,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=sorted(SCENARIOS),
         help="scenario(s) to run (default: all)",
     )
-    parser.add_argument("--workers", type=int, default=None,
-                        help="override every scenario's worker count")
-    parser.add_argument("--backend", choices=("serial", "thread", "process"),
-                        default=None,
-                        help="override every scenario's execution backend")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the benchmark seed")
     parser.add_argument("--out", default="BENCH_campaign.json",
@@ -85,8 +80,7 @@ def main(argv: list[str] | None = None) -> int:
                              % round((REGRESSION_TOLERANCE - 1) * 100))
     args = parser.parse_args(argv)
 
-    kwargs = {"workers": args.workers, "backend": args.backend,
-              "progress": lambda m: print(m, flush=True)}
+    kwargs = {"progress": lambda m: print(m, flush=True)}
     if args.scenario:
         kwargs["names"] = tuple(args.scenario)
     if args.seed is not None:

@@ -13,7 +13,7 @@ installing dependencies is out of scope for this repository's tooling.
 
 ``--fast`` exists so the gate can ride inside ``make verify`` without
 doubling its wall time: it drops the handful of multi-second end-to-end
-modules (golden campaign, perf fast path, process backend, integration,
+modules (golden campaign, batch collection, perf fast path, integration,
 chaos, the index-equivalence sweeps that compare the columnar
 analysis fast path against the legacy oracle on full simulated
 campaigns, and the spill-store golden/crash suite) whose *coverage* is
@@ -42,7 +42,6 @@ FAST_SKIPS = (
     "tests/test_golden_campaign.py",
     "tests/test_batch_collection.py",
     "tests/test_perf_fastpath.py",
-    "tests/test_process_backend.py",
     "tests/test_integration.py",
     "tests/test_resilience_chaos.py",
     "tests/test_index_equivalence.py",
