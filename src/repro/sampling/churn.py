@@ -34,11 +34,13 @@ diverge, matching the paper's central observation.
 
 from __future__ import annotations
 
+import math
 from datetime import datetime
+from typing import Iterator
 
 import numpy as np
 
-from repro.util.rng import stable_hash
+from repro.util.rng import seeded_normals, stable_hash
 from repro.util.timeutil import day_index
 from repro.world.topics import TopicSpec
 
@@ -55,6 +57,54 @@ _BASE_DAILY_DRIFT = 0.038
 _FAST_DAILY_DRIFT = 0.25
 #: Variance share of the slow component.
 _SLOW_SHARE = 0.95
+
+#: The two AR(1) lanes; each draws its own innovations per day.
+_LANES = ("slow", "fast")
+
+#: ``M``, a bound on every innovation's magnitude.  NumPy's ziggurat
+#: ``standard_normal`` never returns ``|eps| >= 12.23``: its body returns
+#: ``|eps| < r = 3.6541...``; its tail returns ``r + xx`` with
+#: ``xx = -log1p(-U1) / r``, accepted only when ``xx**2 < 2 * yy`` for
+#: ``yy = -log1p(-U2)``, and ``U2 <= 1 - 2**-53`` gives ``yy <= 53 ln 2``,
+#: so ``xx < sqrt(106 ln 2) = 8.572`` and ``|eps| < 12.226``.  Rounding
+#: ``M`` up to 13 leaves 6 % of headroom in ``B`` (below) for the two
+#: roundings of each update, enough whenever ``1 - rho > 4e-15``; a lane
+#: closer to 1 than that needs a horizon of more than 10**15 days and
+#: always replays.
+_INNOVATION_BOUND = 13.0
+#: Coupling runs ``_HORIZON_MARGIN`` times the days after which the two
+#: bracketing trajectories' exact gap ``2 B rho**K`` falls below ``2**-53``,
+#: ``(ln 2B + 53 ln 2) / -ln rho``.  At seeds 20250209, 1001 and 7 the
+#: paper topics' lanes coalesced within 1.11-1.29 times that, so 1.5 leaves
+#: room; a lane that has still not coalesced replays from day 0.
+_HORIZON_MARGIN = 1.5
+
+
+def _innovation_scale(rho: float) -> float:
+    """``c = sqrt(1 - rho**2)``, the innovation weight that keeps unit variance."""
+    return float(np.sqrt(1.0 - rho * rho))
+
+
+def _state_bound(rho: float) -> float:
+    """``B = M * max(1, c / (1 - rho))``: no state, on any day, has ``|x| > B``.
+
+    Day 0's state is ``eps_0``, inside ``[-M, M]``, and ``[-B, B]`` is
+    invariant under ``x -> rho * x + c * eps`` because ``c * M <= (1 - rho) B``.
+    """
+    return _INNOVATION_BOUND * max(1.0, _innovation_scale(rho) / (1.0 - rho))
+
+
+def _coupling_days(rho: float) -> int | None:
+    """Days a cold start couples over, or None when the lane never forgets.
+
+    ``rho == 1`` (zero volatility) keeps day 0's draw forever, so no run
+    from ``+-B`` ever meets; ``rho == 0`` forgets the state in one step.
+    """
+    if rho >= 1.0:
+        return None
+    forget = -math.log(rho) if rho > 0.0 else math.inf
+    unmargined = (math.log(2.0 * _state_bound(rho)) + 53 * math.log(2.0)) / forget
+    return max(1, math.ceil(_HORIZON_MARGIN * unmargined))
 
 
 def daily_rho(volatility: float) -> float:
@@ -74,9 +124,16 @@ def fast_daily_rho(volatility: float) -> float:
 class ChurnProcess:
     """Deterministic per-day latent churn states for one topic's videos.
 
-    States are materialized lazily, day by day, from the topic epoch
-    forward, and cached — so a 16-snapshot campaign pays for the day range
-    once, and each later snapshot only advances the chain a few steps.
+    The state on day ``D`` is defined by a replay from the epoch: day 0
+    draws ``x = eps_0`` and every later day applies
+    ``x = rho * x + c * eps_d`` with ``c = sqrt(1 - rho**2)``.  The first
+    query (and any query before the cached day) does not replay thousands
+    of days: each lane couples from the past over its last
+    ``_coupling_days(rho)`` days, which gives the replay's state bit for
+    bit, and replays from day 0 only when the two bracketing trajectories
+    have not met (see :meth:`_couple`).  Later queries advance the cached
+    state forward a few steps, so a 16-snapshot campaign pays for one
+    cold start per topic.
     """
 
     def __init__(self, spec: TopicSpec, n_videos: int, seed: int) -> None:
@@ -85,22 +142,23 @@ class ChurnProcess:
         self._spec = spec
         self._n = n_videos
         self._seed = seed
-        self._rho_slow = daily_rho(spec.churn_volatility)
-        self._rho_fast = fast_daily_rho(spec.churn_volatility)
+        self._rho = {
+            "slow": daily_rho(spec.churn_volatility),
+            "fast": fast_daily_rho(spec.churn_volatility),
+        }
         self._epoch = spec.window_end
-        self._slow: np.ndarray | None = None
-        self._fast: np.ndarray | None = None
+        self._state: dict[str, np.ndarray] = {}
         self._state_day: int = -1
 
     @property
     def rho(self) -> float:
         """The slow-component per-day AR(1) coefficient in effect."""
-        return self._rho_slow
+        return self._rho["slow"]
 
     @property
     def rho_fast(self) -> float:
         """The fast-component per-day AR(1) coefficient in effect."""
-        return self._rho_fast
+        return self._rho["fast"]
 
     @property
     def epoch(self) -> datetime:
@@ -114,28 +172,68 @@ class ChurnProcess:
         predate the content window in the audit design).
         """
         day = max(0, day_index(self._epoch, when))
-        self._advance_to(day)
-        assert self._slow is not None and self._fast is not None
-        return np.sqrt(_SLOW_SHARE) * self._slow + np.sqrt(1.0 - _SLOW_SHARE) * self._fast
-
-    def _advance_to(self, day: int) -> None:
-        if self._slow is None or day < self._state_day:
-            # (Re)start from day 0; restarting on backwards queries keeps the
-            # process a pure function of the day despite the forward cache.
-            self._slow = self._innovation(0, "slow")
-            self._fast = self._innovation(0, "fast")
-            self._state_day = 0
-        rs, rf = self._rho_slow, self._rho_fast
-        ss = float(np.sqrt(1.0 - rs * rs))
-        sf = float(np.sqrt(1.0 - rf * rf))
-        while self._state_day < day:
-            self._state_day += 1
-            self._slow = rs * self._slow + ss * self._innovation(self._state_day, "slow")
-            self._fast = rf * self._fast + sf * self._innovation(self._state_day, "fast")
-
-    def _innovation(self, day: int, lane: str) -> np.ndarray:
-        entropy = stable_hash("churn-eps", self._seed, self._spec.key, day, lane) % (
-            2**64
+        if not self._state or day < self._state_day:
+            # Cold start.  Restarting on backwards queries keeps the process
+            # a pure function of the day despite the forward cache.
+            self._state = {lane: self._cold_start(lane, day) for lane in _LANES}
+        elif day > self._state_day:
+            self._state = {
+                lane: self._run(lane, x, self._draws(lane, self._state_day + 1, day))
+                for lane, x in self._state.items()
+            }
+        self._state_day = day
+        return (
+            np.sqrt(_SLOW_SHARE) * self._state["slow"]
+            + np.sqrt(1.0 - _SLOW_SHARE) * self._state["fast"]
         )
-        gen = np.random.default_rng(np.random.SeedSequence(entropy))
-        return gen.standard_normal(self._n)
+
+    def _cold_start(self, lane: str, day: int) -> np.ndarray:
+        horizon = _coupling_days(self._rho[lane])
+        if horizon is not None and horizon < day:
+            coupled = self._couple(lane, day - horizon, day)
+            if coupled is not None:
+                return coupled
+        return self._replay(lane, day)
+
+    def _replay(self, lane: str, day: int) -> np.ndarray:
+        """The defining replay: day 0's draw, then every day up to ``day``."""
+        draws = self._draws(lane, 0, day)
+        return self._run(lane, next(draws), draws)
+
+    def _couple(self, lane: str, start: int, day: int) -> np.ndarray | None:
+        """The state on ``day`` by coupling from the past, or None.
+
+        Runs the replay's update from ``-B`` and ``+B`` on day ``start``
+        through ``day``.  The update ``fl(fl(rho*x) + fl(c*eps))`` is
+        non-decreasing in ``x`` and every state lies in ``[-B, B]``, so the
+        true state stays between the two trajectories; once they are
+        bitwise equal, they are it.
+        """
+        rho, c = self._rho[lane], _innovation_scale(self._rho[lane])
+        bound = _state_bound(rho)
+        low = np.full(self._n, -bound)
+        high = np.full(self._n, bound)
+        for eps in self._draws(lane, start + 1, day):
+            # In place, but the same two roundings as ``rho * x + c * eps``.
+            step = c * eps
+            low *= rho
+            low += step
+            high *= rho
+            high += step
+        if np.array_equal(low.view(np.uint64), high.view(np.uint64)):
+            return low
+        return None
+
+    def _run(self, lane: str, x: np.ndarray, draws: Iterator[np.ndarray]) -> np.ndarray:
+        rho, c = self._rho[lane], _innovation_scale(self._rho[lane])
+        for eps in draws:
+            x = rho * x + c * eps
+        return x
+
+    def _draws(self, lane: str, first: int, last: int) -> Iterator[np.ndarray]:
+        """The lane's innovations on days ``first..last``, streamed."""
+        key, seed = self._spec.key, self._seed
+        return seeded_normals(
+            (stable_hash("churn-eps", seed, key, d, lane) for d in range(first, last + 1)),
+            self._n,
+        )

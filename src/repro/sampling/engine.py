@@ -485,8 +485,10 @@ class SearchBehaviorEngine:
         """Memoized per-(topic, request-date) latent churn vector.
 
         :meth:`ChurnProcess.latent_at` is a pure function of the request
-        *date* but advances internal state, so the lookup is serialized
-        behind the cache lock.
+        *date* but keeps the last day's state: a later date advances it,
+        and the first date (or an earlier one) cold-starts it by coupling
+        from the past.  That state is why the lookup is serialized behind
+        the cache lock.
         """
         key = (runtime.spec.key, request_label)
         latent = self._latent_cache.get(key)

@@ -14,14 +14,20 @@ Two complementary facilities live here:
   the API behavior engine: the simulated platform must answer a query as a
   *function of the request date*, independent of how many or in which order
   queries were issued before it.
+
+* :func:`pcg64_seeds` / :func:`seeded_normals` — many
+  ``default_rng(SeedSequence(entropy))`` streams at once.  Seeding is
+  vectorized over the entropies and the draws reuse one generator, so a
+  long run of per-day streams costs no per-stream ``SeedSequence``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from itertools import islice
 from statistics import NormalDist
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +39,8 @@ __all__ = [
     "hashed_prefix",
     "stable_uniform_suffixed",
     "stable_normal_suffixed",
+    "pcg64_seeds",
+    "seeded_normals",
 ]
 
 _U64 = 2**64
@@ -110,6 +118,134 @@ def stable_uniform_suffixed(prefix: str, suffix: object) -> float:
 def stable_normal_suffixed(prefix: str, suffix: object) -> float:
     """``stable_normal(*parts, suffix)`` with the parts prefix precomputed."""
     return _STD_NORMAL.inv_cdf(stable_uniform_suffixed(prefix, suffix))
+
+
+# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_SS_INIT_A = 0x43B0D7E5
+_SS_MULT_A = 0x931E8875
+_SS_INIT_B = 0x8B51F9DD
+_SS_MULT_B = 0x58F38DED
+_SS_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_SS_MIX_MULT_R = np.uint32(0x4973F715)
+_SS_XSHIFT = np.uint32(16)
+_SS_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+# Entropies seeded per vectorized pass in seeded_normals: large enough to
+# amortize the pass's ~40 array operations, small enough that a multi-year
+# run of per-day streams never holds more than this many states.
+_SEED_CHUNK = 512
+
+
+def _hash_steps(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """XOR and multiplier constants of ``count`` successive hashmix steps.
+
+    SeedSequence's hash constant evolves the same way whatever the data,
+    so every step's constants are fixed and the data can be hashed as
+    arrays.  Returned as ``(count, 1)`` columns that broadcast over words.
+    """
+    xors, mults = [], []
+    h = init
+    for _ in range(count):
+        xors.append(h)
+        h = (h * mult) & _M32
+        mults.append(h)
+    return (
+        np.array(xors, dtype=np.uint32)[:, None],
+        np.array(mults, dtype=np.uint32)[:, None],
+    )
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    words = (words ^ xor) * mult
+    return words ^ (words >> _SS_XSHIFT)
+
+
+# mix_entropy hashes the 4 pool words, then, for each source word, hashes
+# it once per other word and mixes it into that word; generate_state
+# hashes 8 output words, cycling over the pool.
+_SS_HASH_XOR, _SS_HASH_MULT = _hash_steps(_SS_INIT_A, _SS_MULT_A, 4 * _SS_POOL_SIZE)
+_SS_INIT_STEP = (_SS_HASH_XOR[:_SS_POOL_SIZE], _SS_HASH_MULT[:_SS_POOL_SIZE])
+_SS_ROUNDS = [
+    (
+        src,
+        np.array([d for d in range(_SS_POOL_SIZE) if d != src], dtype=np.intp),
+        _SS_HASH_XOR[_SS_POOL_SIZE + 3 * src : _SS_POOL_SIZE + 3 * src + 3],
+        _SS_HASH_MULT[_SS_POOL_SIZE + 3 * src : _SS_POOL_SIZE + 3 * src + 3],
+    )
+    for src in range(_SS_POOL_SIZE)
+]
+_SS_OUT_WORDS = np.arange(2 * _SS_POOL_SIZE, dtype=np.intp) % _SS_POOL_SIZE
+_SS_OUT_XOR, _SS_OUT_MULT = _hash_steps(_SS_INIT_B, _SS_MULT_B, 2 * _SS_POOL_SIZE)
+
+
+def _seed_words(entropies: Sequence[int]) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for each entropy, as rows.
+
+    Bit-exact port of NumPy's ``SeedSequence`` for an int entropy below
+    2**64 and no spawn key.  Such an entropy is one or two 32-bit words,
+    fewer than the pool's four, and ``mix_entropy`` hashes a 0 into every
+    pool word past the entropy, so hashing the high word as 0 when the
+    entropy fits in 32 bits is the same as giving only one word.  Within
+    one source word's round the other three words are mixed independently,
+    which is what lets each round run as one ``(3, N)`` operation.
+    """
+    e = np.asarray(entropies, dtype=np.uint64)
+    pool = np.zeros((_SS_POOL_SIZE, e.size), dtype=np.uint32)
+    pool[0] = e & np.uint64(_M32)
+    pool[1] = e >> np.uint64(32)
+    pool = _hashmix(pool, *_SS_INIT_STEP)
+    for src, others, xor, mult in _SS_ROUNDS:
+        mixed = _SS_MIX_MULT_L * pool.take(others, axis=0) - _SS_MIX_MULT_R * _hashmix(
+            pool[src], xor, mult
+        )
+        pool[others] = mixed ^ (mixed >> _SS_XSHIFT)
+    out = _hashmix(pool.take(_SS_OUT_WORDS, axis=0), _SS_OUT_XOR, _SS_OUT_MULT)
+    # generate_state pairs the words little-endian into uint64s.
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8")
+
+
+def pcg64_seeds(entropies: Sequence[int]) -> tuple[list[int], list[int]]:
+    """PCG64's 128-bit ``state`` and ``inc`` after seeding from each ``SeedSequence(e)``.
+
+    That is ``PCG64(SeedSequence(e)).state["state"]`` for every entropy
+    ``e`` in ``[0, 2**64)``, returned as two parallel lists.  The seed
+    words of all entropies come from one vectorized pass
+    (:func:`_seed_words`); PCG64 then seeds its LCG as
+    ``pcg_setseq_128_srandom_r`` does: ``inc = 2*seq + 1``, one step
+    from 0, add the initial state, one more step.
+    """
+    states, incs = [], []
+    for s_hi, s_lo, q_hi, q_lo in zip(*_seed_words(entropies).T.tolist()):
+        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _M128
+        incs.append(inc)
+        states.append(((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _M128)
+    return states, incs
+
+
+def seeded_normals(entropies: Iterable[int], n: int) -> Iterator[np.ndarray]:
+    """Yield ``default_rng(SeedSequence(e)).standard_normal(n)`` per entropy.
+
+    Bit-identical to seeding a fresh generator per entropy, but every
+    stream reuses one ``PCG64``/``Generator`` pair whose state is set from
+    :func:`pcg64_seeds`, seeded ``_SEED_CHUNK`` entropies at a time.  The
+    entropies are consumed lazily, so a caller can stream thousands of
+    days without holding them.  One state dict is reused for every
+    stream, so the streams allocate no Python containers apiece and do not
+    drive the garbage collector.
+    """
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    full = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    lcg = full["state"]
+    pending = iter(entropies)
+    while chunk := list(islice(pending, _SEED_CHUNK)):
+        for state, inc in zip(*pcg64_seeds(chunk)):
+            lcg["state"], lcg["inc"] = state, inc
+            bitgen.state = full
+            yield gen.standard_normal(n)
 
 
 class SeedBank:

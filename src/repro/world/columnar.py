@@ -56,7 +56,7 @@ from repro.world.comments import (
     materialize_video_threads,
     thread_ordinal_base,
 )
-from repro.world.entities import Video, World
+from repro.world.entities import CommentThread, Video, World
 from repro.world.popularity import draw_video_metrics
 from repro.world.temporal import sample_upload_epochs
 from repro.world.topics import TopicSpec
@@ -369,6 +369,8 @@ class ColumnarCorpus:
         self._deleted_at: dict[str, list[datetime | None]] = {}
         self._deleted_us: dict[str, np.ndarray] = {}
         self._threads: dict[str, dict[int, list]] = {}
+        # Every thread threads_for_row has materialized, by thread ID.
+        self._thread_by_id: dict[str, CommentThread] = {}
         self._thread_vrow: dict[str, np.ndarray] = {}
         self._sorted_rows: dict[str, np.ndarray] = {}
         self._videos_for_topic: dict[str, list[Video]] = {}
@@ -571,6 +573,8 @@ class ColumnarCorpus:
                         thread_ordinal_base(tc.spec),
                     )
                 cache[row] = got
+                for thread in got:
+                    self._thread_by_id[thread.thread_id] = thread
         return got
 
     # -- topic-level views ----------------------------------------------------
@@ -736,6 +740,20 @@ class ColumnarCorpus:
                             loc[cid] = (key, row)
                     self._channel_locator = loc
         return self._channel_locator
+
+    def thread(self, thread_id: str) -> CommentThread | None:
+        """The comment thread with this ID, or None.
+
+        A thread whose video's threads are already materialized is found
+        without minting any ID; only a miss builds :meth:`thread_locator`.
+        """
+        got = self._thread_by_id.get(thread_id)
+        if got is None:
+            loc = self.thread_locator().get(thread_id)
+            if loc is not None:
+                self.threads_for_row(*loc)
+                got = self._thread_by_id.get(thread_id)
+        return got
 
     def thread_locator(self) -> dict[str, tuple[str, int]]:
         """thread_id -> (topic key, video row); mints all thread IDs."""

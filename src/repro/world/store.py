@@ -183,14 +183,7 @@ class PlatformStore:
     def thread(self, thread_id: str) -> CommentThread | None:
         """Comment thread by ID, or None."""
         if self.corpus is not None:
-            loc = self.corpus.thread_locator().get(thread_id)
-            if loc is None:
-                return None
-            key, video_row = loc
-            for thread in self.corpus.threads_for_row(key, video_row):
-                if thread.thread_id == thread_id:
-                    return thread
-            return None  # pragma: no cover - locator guarantees presence
+            return self.corpus.thread(thread_id)
         return self._threads_by_id.get(thread_id)
 
     # -- search-side queries -------------------------------------------------

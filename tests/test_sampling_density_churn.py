@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
+from repro.sampling import churn
 from repro.sampling.churn import ChurnProcess, daily_rho, fast_daily_rho
 from repro.sampling.density import InterestDensity
-from repro.util.timeutil import UTC
+from repro.util.rng import stable_hash
+from repro.util.timeutil import UTC, day_index
+from repro.world.corpus import scale_topic
 from repro.world.topics import paper_topics, topic_by_key
 
 
@@ -167,3 +171,156 @@ class TestChurnProcess:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             ChurnProcess(topic_by_key("blm"), -1, 0)
+
+
+# -- the churn state against an independent day-0 replay -----------------------
+
+FIRST_COLLECTION = datetime(2025, 2, 9, tzinfo=UTC)
+#: Query order: the first collection (a cold start), two forward advances, a
+#: backward date (a second cold start) and a pre-epoch date (day 0).
+QUERIES = (
+    FIRST_COLLECTION,
+    FIRST_COLLECTION + timedelta(days=5),
+    FIRST_COLLECTION + timedelta(days=80),
+    FIRST_COLLECTION - timedelta(days=30),
+    datetime(2000, 1, 1, tzinfo=UTC),
+)
+COLD_STARTS = (QUERIES[0], QUERIES[3])
+
+
+def _replay(spec, n: int, seed: int, whens) -> list[np.ndarray]:
+    """The latent state at each of ``whens`` by replaying from day 0.
+
+    Seeds every day's draw with its own ``default_rng(SeedSequence(...))``,
+    independently of the process's batched seeding and coupling.
+    """
+    days = [max(0, day_index(spec.window_end, w)) for w in whens]
+    lanes = {}
+    for lane, rho in (
+        ("slow", daily_rho(spec.churn_volatility)),
+        ("fast", fast_daily_rho(spec.churn_volatility)),
+    ):
+        c = float(np.sqrt(1.0 - rho * rho))
+        states = {}
+        x = None
+        for d in range(max(days) + 1):
+            entropy = stable_hash("churn-eps", seed, spec.key, d, lane)
+            eps = np.random.default_rng(np.random.SeedSequence(entropy)).standard_normal(n)
+            x = eps if d == 0 else rho * x + c * eps
+            if d in days:
+                states[d] = x
+        lanes[lane] = states
+    share = churn._SLOW_SHARE
+    return [
+        np.sqrt(share) * lanes["slow"][d] + np.sqrt(1.0 - share) * lanes["fast"][d]
+        for d in days
+    ]
+
+
+def _assert_bitwise_equal(got: np.ndarray, expected: np.ndarray) -> None:
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def _spy_paths(monkeypatch, calls: list) -> None:
+    """Record which path each lane's cold start took: coupled, fallback, replay."""
+    couple, replay = ChurnProcess._couple, ChurnProcess._replay
+
+    def spy_couple(self, lane, start, day):
+        got = couple(self, lane, start, day)
+        calls.append((self._spec.key, lane, day, "fallback" if got is None else "coupled"))
+        return got
+
+    def spy_replay(self, lane, day):
+        calls.append((self._spec.key, lane, day, "replay"))
+        return replay(self, lane, day)
+
+    monkeypatch.setattr(ChurnProcess, "_couple", spy_couple)
+    monkeypatch.setattr(ChurnProcess, "_replay", spy_replay)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(1.0, 20250209), (0.3, 20250209), (0.3, 1001), (0.3, 7)],
+    ids=lambda p: f"scale{p[0]}-seed{p[1]}",
+)
+def paper_churn(request):
+    """Every paper topic's process queried at QUERIES, with its cold-start paths."""
+    scale, seed = request.param
+    calls: list = []
+    states = {}
+    with pytest.MonkeyPatch.context() as mp:
+        _spy_paths(mp, calls)
+        for spec in paper_topics():
+            scaled = scale_topic(spec, scale)
+            process = ChurnProcess(scaled, scaled.n_videos, seed)
+            states[spec.key] = (scaled, [process.latent_at(w) for w in QUERIES])
+    return seed, states, calls
+
+
+class TestChurnExactness:
+    def test_matches_independent_replay(self, paper_churn):
+        seed, states, _ = paper_churn
+        for spec, got in states.values():
+            for g, expected in zip(got, _replay(spec, spec.n_videos, seed, QUERIES)):
+                _assert_bitwise_equal(g, expected)
+
+    def test_cold_starts_couple_without_fallback(self, paper_churn):
+        _, states, calls = paper_churn
+        assert not [c for c in calls if c[3] == "fallback"]
+        coupled = set()
+        for spec, _ in states.values():
+            rhos = {
+                "slow": daily_rho(spec.churn_volatility),
+                "fast": fast_daily_rho(spec.churn_volatility),
+            }
+            for when in COLD_STARTS:
+                day = day_index(spec.window_end, when)
+                for lane, rho in rhos.items():
+                    paths = [c[3] for c in calls if c[:3] == (spec.key, lane, day)]
+                    if churn._coupling_days(rho) < day:
+                        assert paths == ["coupled"], (spec.key, lane, day)
+                        coupled.add((spec.key, lane))
+                    else:
+                        assert paths == ["replay"], (spec.key, lane, day)
+        # Every fast lane forgets its start well within its day offset; of
+        # the slow lanes, only Capriot, Grammys and Higgs are still too young.
+        slow_replays = {"capriot", "grammys", "higgs"}
+        assert coupled == {
+            (key, lane)
+            for key in states
+            for lane in ("slow", "fast")
+            if not (lane == "slow" and key in slow_replays)
+        }
+
+    def test_short_horizon_falls_back_to_replay(self, monkeypatch):
+        calls: list = []
+        _spy_paths(monkeypatch, calls)
+        monkeypatch.setattr(churn, "_HORIZON_MARGIN", 0.05)
+        spec = scale_topic(topic_by_key("blm"), 0.05)
+        got = ChurnProcess(spec, spec.n_videos, 7).latent_at(FIRST_COLLECTION)
+        day = day_index(spec.window_end, FIRST_COLLECTION)
+        for lane in ("slow", "fast"):
+            assert [c[3] for c in calls if c[1] == lane] == ["fallback", "replay"]
+            assert [c[2] for c in calls if c[1] == lane] == [day, day]
+        _assert_bitwise_equal(got, _replay(spec, spec.n_videos, 7, [FIRST_COLLECTION])[0])
+
+    @pytest.mark.parametrize(
+        "n,volatility",
+        [(0, 1.0), (40, 0.0), (40, 1e3), (40, 1e5)],
+        ids=["no-videos", "rho-one", "rho-tiny", "rho-zero"],
+    )
+    def test_edge_cases_match_replay(self, n, volatility):
+        spec = dataclasses.replace(topic_by_key("grammys"), churn_volatility=volatility)
+        process = ChurnProcess(spec, n, 20250209)
+        whens = QUERIES[:4]
+        got = [process.latent_at(w) for w in whens]
+        for g, expected in zip(got, _replay(spec, n, 20250209, whens)):
+            _assert_bitwise_equal(g, expected)
+
+    def test_coupling_days_edges(self):
+        assert churn._coupling_days(1.0) is None
+        assert churn._coupling_days(0.0) == 1
+        assert churn._coupling_days(daily_rho(1e3)) <= 2
+        # Slower mixing needs a longer horizon.
+        assert churn._coupling_days(daily_rho(0.2)) > churn._coupling_days(daily_rho(1.0))

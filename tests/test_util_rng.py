@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from repro.util.rng import (
+    _SEED_CHUNK,
     SeedBank,
     logistic,
+    pcg64_seeds,
     probit,
+    seeded_normals,
     spread_evenly,
     stable_hash,
     stable_normal,
@@ -70,6 +73,47 @@ class TestStableDraws:
             stable_normal_array(-1, "x")
         with pytest.raises(ValueError):
             stable_uniform_array(-1, "x")
+
+
+class TestBatchedSeeding:
+    """The vectorized SeedSequence/PCG64 port against NumPy itself."""
+
+    EDGES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+
+    def _entropies(self) -> list[int]:
+        rng = np.random.default_rng(42)
+        wide = rng.integers(0, 2**64 - 1, size=8_000, dtype=np.uint64, endpoint=True)
+        narrow = rng.integers(0, 2**32, size=2_000, dtype=np.uint64)
+        return self.EDGES + [int(e) for e in wide] + [int(e) for e in narrow]
+
+    @staticmethod
+    def _numpy_seeds(entropies):
+        lcg = [np.random.PCG64(np.random.SeedSequence(e)).state["state"] for e in entropies]
+        return [s["state"] for s in lcg], [s["inc"] for s in lcg]
+
+    def test_seeds_match_numpy(self):
+        entropies = self._entropies()
+        assert len(entropies) > 10_000
+        assert pcg64_seeds(entropies) == self._numpy_seeds(entropies)
+
+    def test_single_and_empty_batches(self):
+        for e in self.EDGES:
+            assert pcg64_seeds([e]) == self._numpy_seeds([e])
+        assert pcg64_seeds([]) == ([], [])
+
+    def test_seeded_normals_match_fresh_generators(self):
+        # Crosses a seeding-chunk boundary, and each stream draws enough to
+        # leave the generator's state far from where the next one starts.
+        entropies = self._entropies()[: _SEED_CHUNK + 3]
+        got = list(seeded_normals(iter(entropies), 9))
+        assert len(got) == len(entropies)
+        for e, draws in zip(entropies, got):
+            expected = np.random.default_rng(np.random.SeedSequence(e)).standard_normal(9)
+            np.testing.assert_array_equal(draws, expected)
+
+    def test_seeded_normals_empty(self):
+        assert list(seeded_normals([], 5)) == []
+        assert [d.shape for d in seeded_normals([3, 4], 0)] == [(0,), (0,)]
 
 
 class TestSeedBank:

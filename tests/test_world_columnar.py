@@ -15,6 +15,8 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
+from repro.api import build_service
+from repro.api.errors import NotFoundError
 from repro.obs import CampaignObserver
 from repro.sampling.engine import BehaviorParams, _TopicRuntime
 from repro.util.rng import SeedBank
@@ -122,6 +124,51 @@ class TestLazyCacheIdentity:
             columnar_world.videos["missing-vid"]
         with pytest.raises(KeyError):
             columnar_world.channels["UCmissing"]
+
+
+class TestThreadLookup:
+    """``comments.list`` finds listed threads without minting every thread ID."""
+
+    def _service(self, specs):
+        world = build_world(specs, seed=SEED)
+        return world.corpus, build_service(world, seed=SEED, specs=specs)
+
+    def _listed_thread_id(self, corpus, service) -> str:
+        for key in corpus.topics:
+            for vid in corpus.video_ids(key):
+                items = service.comment_threads.list(
+                    part="snippet", videoId=vid, maxResults=5
+                )["items"]
+                if items:
+                    return items[0]["id"]
+        pytest.fail("no video with a listed comment thread")
+
+    def test_listed_thread_skips_locator(self, specs, monkeypatch):
+        corpus, service = self._service(specs)
+        tid = self._listed_thread_id(corpus, service)
+
+        def mint_all():
+            pytest.fail("built the whole-corpus thread locator")
+
+        monkeypatch.setattr(corpus, "thread_locator", mint_all)
+        response = service.comments.list(part="snippet", parentId=tid)
+        assert response["kind"] == "youtube#commentListResponse"
+        assert corpus.thread(tid).thread_id == tid
+
+    def test_unknown_id_not_found(self, specs):
+        corpus, service = self._service(specs)
+        self._listed_thread_id(corpus, service)
+        with pytest.raises(NotFoundError):
+            service.comments.list(part="snippet", parentId="Ug" + "A" * 24)
+
+    def test_unlisted_thread_resolves(self, specs):
+        corpus, service = self._service(specs)
+        tid = self._listed_thread_id(corpus, service)
+        expected = service.comments.list(part="snippet", parentId=tid)
+        # A second world of the same seed has listed nothing.
+        fresh_corpus, fresh_service = self._service(specs)
+        assert fresh_service.comments.list(part="snippet", parentId=tid) == expected
+        assert fresh_corpus.thread(tid) == corpus.thread(tid)
 
 
 class TestDeletionParser:
