@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtr
 
 __all__ = ["CorrelationResult", "pearson", "spearman"]
 
@@ -56,7 +56,7 @@ def pearson(x, y) -> CorrelationResult:
     if abs(r) >= 1.0:
         return CorrelationResult(statistic=r, p_value=0.0, n=n)
     t = r * np.sqrt((n - 2) / (1.0 - r * r))
-    p = float(2.0 * sps.t.sf(abs(t), df=n - 2))
+    p = float(2.0 * stdtr(n - 2, -abs(t)))
     return CorrelationResult(statistic=r, p_value=p, n=n)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import fdtrc, ndtr
 
 from repro.stats.design import DesignMatrix
 
@@ -72,7 +72,7 @@ def fit_ols(design: DesignMatrix, y, robust: str = "HC1") -> OLSResult:
 
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(std_errors > 0, beta / std_errors, 0.0)
-    p_values = 2.0 * sps.norm.sf(np.abs(z))
+    p_values = 2.0 * ndtr(-np.abs(z))
     half = 1.959963984540054 * std_errors
     conf_int = np.column_stack([beta - half, beta + half])
 
@@ -84,7 +84,7 @@ def fit_ols(design: DesignMatrix, y, robust: str = "HC1") -> OLSResult:
     df_resid = n - p
     if ss_res > 0 and df_model > 0:
         f_stat = (ss_tot - ss_res) / df_model / (ss_res / df_resid)
-        f_p = float(sps.f.sf(f_stat, df_model, df_resid))
+        f_p = float(fdtrc(df_model, df_resid, f_stat))
     else:  # perfect fit or degenerate design
         f_stat, f_p = float("inf"), 0.0
 

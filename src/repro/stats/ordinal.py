@@ -10,13 +10,15 @@ theta_{K-1},
 
     P(Y <= k | x) = F(theta_{k+1} - x @ beta)
 
-with F the inverse link (logistic sigmoid, or cloglog's Gumbel CDF).  The
-likelihood is maximized over an order-preserving reparameterization of the
-thresholds (first threshold + log-gaps) with L-BFGS-B; standard errors come
-from the numerically differentiated Hessian in the original
-parameterization, and fit is reported as the LR chi-square against the
-intercept-only model plus McFadden's pseudo-R^2 — the quantities the paper
-reports.
+with F the inverse link (logistic sigmoid, or cloglog's Gumbel CDF).  Both
+densities are log-concave, so the negative log-likelihood is convex in
+(theta, beta).  It is minimized by damped Newton steps on its closed-form
+score and Hessian, starting from the thresholds of the observed cumulative
+shares and beta = 0; each step is halved until the thresholds stay ordered
+and the likelihood does not fall.  The Wald standard errors come from the
+same Hessian at the optimum, and fit is reported as the LR chi-square
+against the intercept-only model plus McFadden's pseudo-R^2 — the
+quantities the paper reports.
 """
 
 from __future__ import annotations
@@ -24,13 +26,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats as sps
+from scipy.special import chdtrc, ndtr
 
 from repro.stats.design import DesignMatrix
 
 __all__ = ["OrdinalResult", "fit_ordinal"]
 
 _EPS = 1e-10
+# A fit has converged when max |score| <= _GTOL * n.  Below about that, a
+# Newton step changes the NLL by less than the NLL's own rounding error.
+_GTOL = 1e-8
+_MAX_ITER = 100
+_MAX_HALVINGS = 60
 
 
 @dataclass
@@ -94,18 +101,6 @@ def _nll(params: np.ndarray, X: np.ndarray, y: np.ndarray, K: int, link: str) ->
     return -float(np.log(_category_probs(theta, eta, y, link)).sum())
 
 
-def _pack(first: float, log_gaps: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    return np.concatenate([[first], log_gaps, beta])
-
-
-def _unpack_free(free: np.ndarray, K: int) -> np.ndarray:
-    """Free params (first, log-gaps, beta) -> original (theta, beta)."""
-    first = free[0]
-    gaps = np.exp(np.clip(free[1 : K - 1], -30, 30))
-    theta = first + np.concatenate([[0.0], np.cumsum(gaps)])
-    return np.concatenate([theta, free[K - 1 :]])
-
-
 def _start_thresholds(y: np.ndarray, K: int, link: str) -> np.ndarray:
     cum = np.cumsum(np.bincount(y, minlength=K)[:-1]) / y.shape[0]
     cum = np.clip(cum, 0.01, 0.99)
@@ -115,22 +110,91 @@ def _start_thresholds(y: np.ndarray, K: int, link: str) -> np.ndarray:
     return np.log(-np.log(1.0 - cum))
 
 
-def _numerical_hessian(f, x: np.ndarray, step: float = 1e-4) -> np.ndarray:
-    n = x.shape[0]
-    hess = np.empty((n, n))
-    h = np.maximum(step, step * np.abs(x))
-    for i in range(n):
-        for j in range(i, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h[i]
-            ej[j] = h[j]
-            fpp = f(x + ei + ej)
-            fpm = f(x + ei - ej)
-            fmp = f(x - ei + ej)
-            fmm = f(x - ei - ej)
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
-    return hess
+def _density(z: np.ndarray, link: str) -> tuple[np.ndarray, np.ndarray]:
+    """F'(z) and F''(z) of the inverse link; both 0 wherever ``_cdf`` clips z."""
+    if link == "logit":
+        cdf = _cdf(z, link)
+        dens = cdf * (1.0 - cdf)
+        return dens, dens * (1.0 - 2.0 * cdf)
+    zc = np.clip(z, -700, 30)
+    ez = np.exp(zc)
+    dens = np.where(zc == z, np.exp(zc - ez), 0.0)
+    return dens, dens * (1.0 - ez)
+
+
+def _score_hessian(
+    params: np.ndarray, X: np.ndarray, y: np.ndarray, K: int, link: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form gradient and Hessian of ``_nll`` in (theta, beta).
+
+    Observation i contributes -log(F(z_up) - F(z_low)), where
+    z_up = a_up @ params and z_low = a_low @ params are linear, with
+    a = (e_threshold, -x_i); the top category has no upper term and the
+    bottom one no lower term.  With p the category probability,
+    r = F'(z_up) / p and s = F'(z_low) / p, the term's gradient is
+    s a_low - r a_up, and its Hessian is
+    (r^2 - F''(z_up)/p) a_up a_up' + (s^2 + F''(z_low)/p) a_low a_low'
+    - r s (a_up a_low' + a_low a_up').  An observation whose probability
+    ``_nll`` clips at ``_EPS`` is constant there and contributes nothing.
+    """
+    n = y.shape[0]
+    k_max = K - 1
+    theta, beta = params[:k_max], params[k_max:]
+    eta = X @ beta if beta.size else np.zeros(n)
+    up, low = y < k_max, y > 0
+    z_up = theta[np.minimum(y, k_max - 1)] - eta
+    z_low = theta[np.maximum(y - 1, 0)] - eta
+    prob = _category_probs(theta, eta, y, link)
+    inv_up = np.where(up & (prob > _EPS), 1.0 / prob, 0.0)
+    inv_low = np.where(low & (prob > _EPS), 1.0 / prob, 0.0)
+    dens_up, slope_up = _density(z_up, link)
+    dens_low, slope_low = _density(z_low, link)
+    r = dens_up * inv_up
+    s = dens_low * inv_low
+
+    a_up = np.zeros((n, k_max + X.shape[1]))
+    a_up[up, y[up]] = 1.0
+    a_up[:, k_max:] = -X
+    a_low = np.zeros_like(a_up)
+    a_low[low, y[low] - 1] = 1.0
+    a_low[:, k_max:] = -X
+
+    grad = a_low.T @ s - a_up.T @ r
+    hess = (a_up.T * (r * r - slope_up * inv_up)) @ a_up
+    hess += (a_low.T * (s * s + slope_low * inv_low)) @ a_low
+    cross = (a_up.T * (r * s)) @ a_low
+    hess -= cross + cross.T
+    return grad, hess
+
+
+def _newton(X: np.ndarray, y: np.ndarray, K: int, link: str) -> tuple[np.ndarray, bool]:
+    """Minimize ``_nll`` by damped Newton steps; return (params, converged).
+
+    Starts from the cumulative-share thresholds and beta = 0.  Each step is
+    halved until the thresholds stay strictly increasing (``_nll`` finite)
+    and the NLL does not rise.  Converged means max |score| <= ``_GTOL`` * n.
+    """
+    params = np.concatenate([_start_thresholds(y, K, link), np.zeros(X.shape[1])])
+    nll = _nll(params, X, y, K, link)
+    for _ in range(_MAX_ITER):
+        grad, hess = _score_hessian(params, X, y, K, link)
+        if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
+            return params, False
+        if np.abs(grad).max() <= _GTOL * y.shape[0]:
+            return params, True
+        # Least squares gives the minimum-norm step when a predictor column is
+        # all zero and its Hessian row is 0.
+        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        for _ in range(_MAX_HALVINGS):
+            trial = params - step
+            trial_nll = _nll(trial, X, y, K, link)
+            if trial_nll <= nll:
+                break
+            step = step / 2.0
+        else:
+            return params, False
+        params, nll = trial, trial_nll
+    return params, False
 
 
 def fit_ordinal(design: DesignMatrix, y, link: str = "logit") -> OrdinalResult:
@@ -151,50 +215,34 @@ def fit_ordinal(design: DesignMatrix, y, link: str = "logit") -> OrdinalResult:
     X = design.matrix
     p = design.p
 
-    theta0 = _start_thresholds(y, K, link)
-    gaps0 = np.diff(theta0)
-    free0 = _pack(theta0[0], np.log(np.maximum(gaps0, 1e-3)), np.zeros(p))
-
-    def objective(free: np.ndarray) -> float:
-        return _nll(_unpack_free(free, K), X, y, K, link)
-
-    result = optimize.minimize(
-        objective, free0, method="L-BFGS-B",
-        options={"maxiter": 2000, "maxfun": 20000, "ftol": 1e-12},
-    )
-    params = _unpack_free(result.x, K)
+    params, converged = _newton(X, y, K, link)
     ll = -_nll(params, X, y, K, link)
 
     # Intercept-only null model for the LR test and pseudo-R^2.
     X_null = np.zeros((y.shape[0], 0))
-
-    def objective_null(free: np.ndarray) -> float:
-        return _nll(_unpack_free(free, K), X_null, y, K, link)
-
-    null_free0 = _pack(theta0[0], np.log(np.maximum(gaps0, 1e-3)), np.zeros(0))
-    null_result = optimize.minimize(
-        objective_null, null_free0, method="L-BFGS-B",
-        options={"maxiter": 2000, "ftol": 1e-12},
-    )
-    ll_null = -_nll(_unpack_free(null_result.x, K), X_null, y, K, link)
+    null_params, null_converged = _newton(X_null, y, K, link)
+    ll_null = -_nll(null_params, X_null, y, K, link)
+    converged = converged and null_converged
 
     lr = max(0.0, 2.0 * (ll - ll_null))
-    lr_p = float(sps.chi2.sf(lr, df=p)) if p > 0 else 1.0
+    lr_p = float(chdtrc(p, lr)) if p > 0 else 1.0
     pseudo_r2 = 1.0 - ll / ll_null if ll_null != 0 else 0.0
 
-    # Wald inference from the numerical Hessian in (theta, beta) space.
-    hess = _numerical_hessian(lambda q: _nll(q, X, y, K, link), params)
-    try:
-        cov = np.linalg.pinv(hess)
-        variances = np.clip(np.diag(cov)[K - 1 :], 0.0, None)
-        std_errors = np.sqrt(variances)
-    except np.linalg.LinAlgError:  # pragma: no cover - pinv rarely fails
-        std_errors = np.full(p, np.nan)
+    # Wald inference from the analytic Hessian in (theta, beta) space.
+    hess = _score_hessian(params, X, y, K, link)[1]
+    std_errors = np.full(p, np.nan)
+    if np.isfinite(hess).all():  # LAPACK's SVD may never return on inf or NaN
+        try:
+            variances = np.diag(np.linalg.pinv(hess))[K - 1 :]
+            std_errors = np.sqrt(np.clip(variances, 0.0, None))
+        except np.linalg.LinAlgError:  # the SVD did not converge
+            pass
+    converged = converged and not np.isnan(std_errors).any()
 
     beta = params[K - 1 :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(std_errors > 0, beta / std_errors, 0.0)
-    p_values = 2.0 * sps.norm.sf(np.abs(z))
+        z = np.where(std_errors == 0, 0.0, beta / std_errors)
+    p_values = 2.0 * ndtr(-np.abs(z))
     half = 1.959963984540054 * std_errors
     conf_int = np.column_stack([beta - half, beta + half])
 
@@ -213,5 +261,5 @@ def fit_ordinal(design: DesignMatrix, y, link: str = "logit") -> OrdinalResult:
         pseudo_r_squared=float(pseudo_r2),
         n=int(y.shape[0]),
         n_categories=K,
-        converged=bool(result.success),
+        converged=converged,
     )

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +15,8 @@ from repro.stats.markov import estimate_markov_chain
 from repro.stats.ols import fit_ols
 from repro.stats.ordinal import fit_ordinal
 from repro.stats.summaries import coefficient_table, summarize_model
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +174,37 @@ class TestOrdinal:
         design = build_design(continuous={"x": np.zeros(4)}, categorical={})
         with pytest.raises(ValueError):
             fit_ordinal(design, [-1, 0, 1, 1])
+
+    def test_thresholds_closer_than_a_difference_step_still_return(self):
+        # The two fitted thresholds end ~1.6e-4 apart.  A 4-point Hessian
+        # with steps of 1e-4 evaluated _nll at crossed thresholds (inf), and
+        # pinv of that matrix never returned; run in a subprocess so a hang
+        # fails by timeout instead of stalling the suite.
+        script = """
+import numpy as np
+from repro.stats.design import build_design
+from repro.stats.ordinal import fit_ordinal
+
+rng = np.random.default_rng(0)
+x = rng.standard_normal(30_000)
+y = np.where(x + rng.logistic(size=x.size) > 0, 2, 0)
+y[np.argmin(np.abs(x))] = 1  # a single middle-category row
+result = fit_ordinal(build_design(continuous={"x": x}, categorical={}), y)
+print(np.diff(result.thresholds)[0], result.coefficients[0], result.std_errors[0],
+      result.converged)
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+        )}
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60, env=env, check=True,
+        )
+        gap, beta, se, converged = done.stdout.split()
+        assert 0 < float(gap) < 2e-4
+        assert float(beta) == pytest.approx(1.0, abs=0.05)
+        assert 0 < float(se) < 0.02
+        assert converged == "True"
 
 
 class TestMarkov:
