@@ -256,9 +256,6 @@ def _common_world_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=0.3,
                         help="corpus scale; 1.0 = the paper's full size, "
                              "values above 1.0 grow the world")
-    parser.add_argument("--legacy-world", action="store_true",
-                        help="build the world on the eager scalar path "
-                             "(the columnar builder's byte-identity oracle)")
 
 
 def _load_campaign(path: str):
@@ -282,9 +279,7 @@ def _build(args, with_comments: bool, observer=None):
 
     specs = scale_topics(paper_topics(), args.scale)
     world = build_world(
-        specs, seed=args.seed, with_comments=with_comments,
-        use_columnar=not getattr(args, "legacy_world", False),
-        observer=observer,
+        specs, seed=args.seed, with_comments=with_comments, observer=observer
     )
     service = build_service(
         world, seed=args.seed, specs=specs,
@@ -296,9 +291,7 @@ def _build(args, with_comments: bool, observer=None):
 
 def _cmd_world(args) -> int:
     _specs, world, service = _build(args, with_comments=True)
-    path = "legacy" if args.legacy_world else "columnar"
-    print(f"world (seed={args.seed}, scale={args.scale}, {path}): "
-          f"{world.summary()}")
+    print(f"world (seed={args.seed}, scale={args.scale}): {world.summary()}")
     print(f"store: {service.store.summary()}")
     return 0
 

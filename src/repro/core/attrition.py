@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.datasets import CampaignResult
-from repro.stats.markov import MarkovChainEstimate, estimate_markov_chain
+from repro.stats.markov import MarkovChainEstimate
 
 __all__ = [
     "PRESENT",
@@ -30,46 +30,28 @@ def presence_sequences(
     campaign: CampaignResult,
     topics: list[str] | None = None,
     skip_degraded: bool = False,
-    use_index: bool = True,
 ) -> list[str]:
     """P/A sequences for every (topic, ever-returned video).
 
     A video enters the universe at its first appearance but its sequence
     covers *all* collections (it was eligible-but-absent before), matching
-    the paper's treatment of presence/absence states.
+    the paper's treatment of presence/absence states.  Within a topic,
+    sequences follow the sorted video IDs.
 
     ``skip_degraded`` drops collections whose snapshot for the topic is
     degraded (missing hour bins): an absence recorded by a half-collected
     snapshot is a measurement failure, not platform attrition, and would
     bias the chain toward ``A``.  Sequences then span only the complete
-    collections, in order.
+    collections, in order, over the videos returned in them.
 
-    By default the sequences are decoded from the campaign's shared
-    columnar index (:mod:`repro.core.index`) — the per-call
-    ``set().union(*sets)`` universe rebuild this function used to pay is
-    amortized into one cached presence matrix.  ``use_index=False`` runs
-    the original scan below (the equivalence oracle).
+    The sequences are decoded from the campaign's shared columnar index
+    (:mod:`repro.core.index`), one cached presence matrix per topic.
     """
-    if use_index:
-        from repro.core.index import campaign_index
+    from repro.core.index import campaign_index
 
-        return campaign_index(campaign).presence_sequences(
-            topics, skip_degraded=skip_degraded
-        )
-    if topics is None:
-        topics = list(campaign.topic_keys)
-    sequences: list[str] = []
-    for topic in topics:
-        sets = campaign.sets_for_topic(topic)
-        if skip_degraded:
-            degraded = set(campaign.degraded_indices(topic))
-            sets = [s for i, s in enumerate(sets) if i not in degraded]
-        universe = set().union(*sets) if sets else set()
-        for video_id in sorted(universe):
-            sequences.append(
-                "".join(PRESENT if video_id in s else ABSENT for s in sets)
-            )
-    return sequences
+    return campaign_index(campaign).presence_sequences(
+        topics, skip_degraded=skip_degraded
+    )
 
 
 @dataclass
@@ -112,25 +94,15 @@ def attrition_analysis(
     campaign: CampaignResult,
     topics: list[str] | None = None,
     skip_degraded: bool = False,
-    use_index: bool = True,
 ) -> AttritionResult:
     """Estimate the Figure 3 chain from a campaign.
 
-    ``use_index`` (default) counts transitions on the columnar index via
-    a base-2 window encoding and one ``np.bincount`` — no intermediate
-    P/A strings — and feeds :func:`repro.stats.markov.chain_from_counts`;
-    ``use_index=False`` runs the original string-based estimator.
+    Transitions are counted on the columnar index via a base-2 window
+    encoding and one ``np.bincount`` — no intermediate P/A strings — and
+    fed to :func:`repro.stats.markov.chain_from_counts`.
     """
-    if use_index:
-        from repro.core.index import campaign_index
+    from repro.core.index import campaign_index
 
-        return campaign_index(campaign).attrition(
-            topics, skip_degraded=skip_degraded
-        )
-    sequences = presence_sequences(
-        campaign, topics, skip_degraded=skip_degraded, use_index=False
+    return campaign_index(campaign).attrition(
+        topics, skip_degraded=skip_degraded
     )
-    if not sequences:
-        raise ValueError("no videos were ever returned; nothing to analyze")
-    chain = estimate_markov_chain(sequences, order=2)
-    return AttritionResult(chain=chain, n_sequences=len(sequences))

@@ -12,13 +12,13 @@ Eight scenario kinds, each with its own primary metric:
 * ``kind="analysis"`` (metric ``analysis_s``) — run a campaign once
   (untimed setup), then time :func:`analysis_battery`: the exact
   consistency / attrition / pools / regression call pattern the report
-  and CSV-export layers issue, including their repeated calls.  The
-  recorded baselines were measured with ``use_index=False`` (the
-  pre-index implementations, kept verbatim as the equivalence oracle);
-  the current run uses the columnar index (:mod:`repro.core.index`).
-  ``analysis`` is the paper-scale workload; ``analysis-smoke`` the
-  reduced one ``make verify`` runs.  Model *fitting* is excluded — it is
-  identical arithmetic on both paths and would only dilute the number.
+  and CSV-export layers issue, including their repeated calls, on the
+  columnar index (:mod:`repro.core.index`).  The recorded baselines are
+  the set-based implementations the index replaced, timed at commit
+  eaf91d5; that code is deleted, so they are frozen numbers that cannot
+  be re-measured in-tree.  ``analysis`` is the paper-scale workload;
+  ``analysis-smoke`` the reduced one ``make verify`` runs.  Model
+  *fitting* is excluded — the battery times the data assembly only.
 
 * ``kind="service"`` (metric ``serve_s``) — build the world untimed,
   stand up the multi-tenant service (:mod:`repro.serve`) in-process, and
@@ -41,12 +41,11 @@ Eight scenario kinds, each with its own primary metric:
 * ``kind="world"`` (metric ``world_build_s``) — time the columnar world
   builder at the scenario scale (10x the paper corpus for ``world``, 2x
   for the ``world-smoke`` run in ``make verify``), then stand up the
-  platform store and force its census, then run the eager legacy builder
-  on the same specs (``legacy_speedup`` rides along).  ``deep=True``
-  extends the ladder one decade down and up (1x and 100x for ``world``),
-  so the 100x build is timed on every full bench run.  The recorded
-  baseline is the eager builder — the pre-columnar assembly path, kept
-  verbatim as the byte-identity oracle — at the same scales.
+  platform store and force its census.  ``deep=True`` extends the ladder
+  one decade down and up (1x and 100x for ``world``), so the 100x build
+  is timed on every full bench run.  The recorded baseline is the eager
+  builder that preceded the columnar one, at the same scales; that
+  builder is deleted, so the baseline is a frozen number.
 
 * ``kind="spill"`` (metric ``spill_s``) — run the campaign spilling
   each snapshot to the disk-backed columnar store
@@ -132,14 +131,15 @@ PRIMARY_METRIC = {
 #: reference machine that recorded this file's first BENCH_campaign.json.
 #: The campaign scenarios are pinned to commit f6be69b (the last commit
 #: before the collection fast path); the analysis scenarios were measured
-#: through ``use_index=False`` — the pre-index implementations, kept
-#: verbatim as the equivalence oracle — and the replication scenario at
-#: commit 8cae9a6 (re-recorded; see the entry's note), each new
-#: scenario block carrying its own ``commit``.  Conservative minima over
-#: repeated runs.  Speedups are computed against these wall times;
-#: re-record them only if the workload shape (scales/collections/seed/
-#: battery composition) changes — or, as with replication, when drift
-#: in unrelated subsystems makes an old figure a silently tight gate.
+#: on the set-based implementations that preceded the columnar index,
+#: and the replication scenario at commit 8cae9a6 (re-recorded; see the
+#: entry's note), each new scenario block carrying its own ``commit``.
+#: Conservative minima over repeated runs.  Speedups are computed against
+#: these wall times; re-record them only if the workload shape (scales/
+#: collections/seed/battery composition) changes — or, as with
+#: replication, when drift in unrelated subsystems makes an old figure a
+#: silently tight gate.  The analysis and world baselines' code is
+#: deleted, so those two cannot be re-recorded in-tree at all.
 RECORDED_BASELINE = {
     "commit": "f6be69b",
     "scenarios": {
@@ -170,7 +170,6 @@ RECORDED_BASELINE = {
         "analysis": {
             "commit": "eaf91d5",
             "kind": "analysis",
-            "use_index": False,
             "analysis_s": 0.6012,
             "records": 5334,
             "sequences": 5339,
@@ -178,7 +177,6 @@ RECORDED_BASELINE = {
         "analysis-smoke": {
             "commit": "eaf91d5",
             "kind": "analysis",
-            "use_index": False,
             "analysis_s": 0.0487,
             "records": 872,
             "sequences": 875,
@@ -217,10 +215,10 @@ RECORDED_BASELINE = {
             "orchestrate_s": 1.10,
             "recovery_s": 0.30,
         },
-        # World baselines are measured through ``use_columnar=False`` —
-        # the eager assembly path kept verbatim as the byte-identity
-        # oracle — because the pre-columnar builder (commit fea4f06)
-        # rejected scales above 1.0 outright.
+        # World baselines were measured on the eager assembly path that
+        # shipped next to the columnar builder (since deleted), because
+        # the pre-columnar builder (commit fea4f06) rejected scales above
+        # 1.0 outright.
         "world": {
             "commit": "fea4f06",
             "kind": "world",
@@ -303,15 +301,15 @@ SCENARIOS: dict[str, BenchScenario] = {
 }
 
 
-def analysis_battery(campaign, use_index: bool = True) -> dict:
+def analysis_battery(campaign) -> dict:
     """The report + export analysis call pattern, as one timeable unit.
 
     Mirrors what ``repro analyze --all`` followed by ``repro export``
     actually issues — including the *repeated* calls (Figure 1 is
     rendered and exported; the attrition chain feeds both Figure 3
-    views; the three regression tables each assemble records) that the
-    legacy path pays per call and the index memoizes.  Returns summary
-    counts so callers can sanity-check both paths did the same work.
+    views; the three regression tables each assemble records), which
+    the index memoizes.  Returns summary counts so callers can check the
+    amount of work done.
     """
     from repro.core.attrition import attrition_analysis, presence_sequences
     from repro.core.consistency import (
@@ -325,25 +323,22 @@ def analysis_battery(campaign, use_index: bool = True) -> dict:
     for topic in campaign.topic_keys:
         # Figure 1 is rendered (report) and exported (CSV bundle).
         for _ in range(2):
-            points += len(consistency_series(campaign, topic, use_index=use_index))
-        points += len(
-            gap_aware_consistency_series(campaign, topic, use_index=use_index)
-        )
+            points += len(consistency_series(campaign, topic))
+        points += len(gap_aware_consistency_series(campaign, topic))
         # Table 4 is rendered and exported; the pool/consistency coupling
         # re-reads both series.
         for _ in range(2):
-            pool_stats(campaign, topic, use_index=use_index)
-        consistency_series(campaign, topic, use_index=use_index)
+            pool_stats(campaign, topic)
+        consistency_series(campaign, topic)
     # Figure 3 rendered + exported, plus the degraded-robustness variant.
-    sequences = len(presence_sequences(campaign, use_index=use_index))
-    attrition_analysis(campaign, use_index=use_index)
-    attrition_analysis(campaign, use_index=use_index)
-    attrition_analysis(campaign, skip_degraded=True, use_index=use_index)
-    # Tables 3/6/7 each assemble the records and design (fits excluded:
-    # identical arithmetic on both paths).
+    sequences = len(presence_sequences(campaign))
+    attrition_analysis(campaign)
+    attrition_analysis(campaign)
+    attrition_analysis(campaign, skip_degraded=True)
+    # Tables 3/6/7 each assemble the records and design (fits excluded).
     records = 0
     for _ in range(3):
-        recs = build_regression_records(campaign, use_index=use_index)
+        recs = build_regression_records(campaign)
         records = len(recs)
         build_regression_design(recs)
     return {"points": points, "sequences": sequences, "records": records}
@@ -353,7 +348,6 @@ def run_scenario(
     scenario: BenchScenario,
     seed: int = BENCH_SEED,
     progress: Callable[[str], None] | None = None,
-    use_index: bool = True,
 ) -> dict:
     """Run one scenario, timing its kind's phases.
 
@@ -361,8 +355,7 @@ def run_scenario(
     the snapshot phase is measured as the first collection of a
     *separate* warm service so the campaign number stays a clean
     end-to-end figure.  ``kind="analysis"`` runs the campaign untimed,
-    then times :func:`analysis_battery` (``use_index=False`` reproduces
-    how the recorded baselines were measured).  ``kind="replication"``
+    then times :func:`analysis_battery`.  ``kind="replication"``
     times :func:`~repro.core.replication.run_replication` over
     :data:`REPLICATION_SEEDS`.  ``kind="collect"`` runs the same campaign
     twice — batch engine, then the per-call oracle, each on a fresh
@@ -595,14 +588,6 @@ def run_scenario(
                 )
                 results[f"scale_{label}"] = extra
                 results[f"videos_{label}"] = extra_world.summary()["videos"]
-
-        note(f"building world (scale {scenario.scale:g}, legacy oracle) ...")
-        t0 = time.perf_counter()
-        build_world(specs, seed=seed, use_columnar=False)
-        results["legacy_build_s"] = round(time.perf_counter() - t0, 4)
-        results["legacy_speedup"] = round(
-            results["legacy_build_s"] / results["world_build_s"], 2
-        )
         return results
 
     if scenario.kind == "service":
@@ -654,16 +639,14 @@ def run_scenario(
         campaign = run_campaign(config, YouTubeClient(service))
         setup_s = time.perf_counter() - t0
         campaign.__dict__.pop("_index", None)  # time a cold index build
-        path = "index" if use_index else "legacy"
-        note(f"timing analysis battery ({path} path) ...")
+        note("timing analysis battery ...")
         t0 = time.perf_counter()
-        stats = analysis_battery(campaign, use_index=use_index)
+        stats = analysis_battery(campaign)
         analysis_s = time.perf_counter() - t0
         return {
             "kind": scenario.kind,
             "scale": scenario.scale,
             "collections": scenario.collections,
-            "use_index": use_index,
             "setup_s": round(setup_s, 4),
             "analysis_s": round(analysis_s, 4),
             **stats,
@@ -844,7 +827,7 @@ def format_report(report: dict) -> str:
         kind = cur.get("kind", "campaign")
         if kind == "analysis":
             line = (
-                f"  {name:14s} {'index' if cur['use_index'] else 'legacy'} | "
+                f"  {name:14s} | "
                 f"setup {cur['setup_s']:.3f}s | "
                 f"analysis {cur['analysis_s']:.3f}s "
                 f"({cur['records']} records, {cur['sequences']} sequences)"
@@ -876,10 +859,8 @@ def format_report(report: dict) -> str:
             line = (
                 f"  {name:14s} scale {cur['scale']:g} | "
                 f"columnar {cur['world_build_s']:.3f}s | "
-                f"store {cur['store_build_s']:.3f}s | "
-                f"legacy {cur['legacy_build_s']:.3f}s "
-                f"({cur['videos']} videos, "
-                f"{cur['legacy_speedup']}x vs legacy)"
+                f"store {cur['store_build_s']:.3f}s "
+                f"({cur['videos']} videos)"
             )
             if cur.get("deep"):
                 line += (

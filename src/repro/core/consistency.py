@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.datasets import CampaignResult, TopicSnapshot
+from repro.core.datasets import CampaignResult
 
 __all__ = [
     "jaccard",
-    "gap_aware_jaccard",
     "ConsistencyPoint",
     "consistency_series",
     "gap_aware_consistency_series",
@@ -27,23 +26,6 @@ def jaccard(a: set, b: set) -> float:
     if not a and not b:
         return 1.0
     return len(a & b) / len(a | b)
-
-
-def gap_aware_jaccard(a: TopicSnapshot, b: TopicSnapshot) -> float:
-    """Jaccard over the hour bins *both* snapshots actually observed.
-
-    A degraded snapshot (see :attr:`TopicSnapshot.missing_hours`) is
-    missing whole hour bins; comparing its raw ID set against a complete
-    one would count every video of a missing bin as churn, conflating
-    collection failure with the platform's sampling drift the paper
-    measures.  Restricting both sides to the mutually-observed bins makes
-    the comparison fair; for two complete snapshots this reduces exactly
-    to :func:`jaccard` of the full sets.
-    """
-    excluded = set(a.missing_hours) | set(b.missing_hours)
-    return jaccard(
-        a.video_ids_excluding(excluded), b.video_ids_excluding(excluded)
-    )
 
 
 @dataclass(frozen=True)
@@ -68,73 +50,34 @@ class ConsistencyPoint:
 
 
 def consistency_series(
-    campaign: CampaignResult, topic: str, use_index: bool = True
+    campaign: CampaignResult, topic: str
 ) -> list[ConsistencyPoint]:
     """The full Figure 1 series for one topic.
 
-    By default this runs on the campaign's shared columnar index
-    (:mod:`repro.core.index`) — one presence-matrix pass instead of
-    per-pair set algebra, cached across analyses.  ``use_index=False``
-    runs the original set-based scan below; the two are locked ``==``
-    by ``tests/test_index_equivalence.py``.
+    Runs on the campaign's shared columnar index
+    (:mod:`repro.core.index`): one presence-matrix pass instead of
+    per-pair set algebra, cached across analyses.
     """
-    if use_index:
-        from repro.core.index import campaign_index
+    from repro.core.index import campaign_index
 
-        return campaign_index(campaign).consistency(topic)
-    sets = campaign.sets_for_topic(topic)
-    if len(sets) < 2:
-        raise ValueError("consistency analysis needs at least two collections")
-    first = sets[0]
-    points: list[ConsistencyPoint] = []
-    for t in range(1, len(sets)):
-        current, previous = sets[t], sets[t - 1]
-        points.append(
-            ConsistencyPoint(
-                index=t,
-                j_previous=jaccard(current, previous),
-                j_first=jaccard(current, first),
-                lost_from_previous=len(previous - current),
-                gained_since_previous=len(current - previous),
-                set_size=len(current),
-            )
-        )
-    return points
+    return campaign_index(campaign).consistency(topic)
 
 
 def gap_aware_consistency_series(
-    campaign: CampaignResult, topic: str, use_index: bool = True
+    campaign: CampaignResult, topic: str
 ) -> list[ConsistencyPoint]:
-    """The Figure 1 series computed with :func:`gap_aware_jaccard`.
+    """The Figure 1 series restricted to mutually observed hour bins.
 
-    Identical to :func:`consistency_series` on a fully-complete campaign;
-    on one with degraded snapshots, every pairwise comparison is restricted
-    to the hour bins observed on both sides (the lost/gained counts are
-    restricted the same way).  ``use_index`` selects the columnar fast
-    path (default) or the reference set-based scan.
+    A degraded snapshot (see :attr:`TopicSnapshot.missing_hours
+    <repro.core.datasets.TopicSnapshot.missing_hours>`) is missing whole
+    hour bins; comparing its raw ID set against a complete one would
+    count every video of a missing bin as churn, conflating collection
+    failure with the platform's sampling drift the paper measures.  So
+    every pairwise comparison (the lost/gained counts too) covers only
+    the hour bins observed on both sides
+    (:meth:`~repro.core.index.CampaignIndex.gap_jaccard`).  Identical to
+    :func:`consistency_series` on a fully complete campaign.
     """
-    if use_index:
-        from repro.core.index import campaign_index
+    from repro.core.index import campaign_index
 
-        return campaign_index(campaign).gap_aware_consistency(topic)
-    topic_snaps = [snap.topic(topic) for snap in campaign.snapshots]
-    if len(topic_snaps) < 2:
-        raise ValueError("consistency analysis needs at least two collections")
-    first = topic_snaps[0]
-    points: list[ConsistencyPoint] = []
-    for t in range(1, len(topic_snaps)):
-        current, previous = topic_snaps[t], topic_snaps[t - 1]
-        excluded_prev = set(current.missing_hours) | set(previous.missing_hours)
-        cur_vs_prev = current.video_ids_excluding(excluded_prev)
-        prev_vs_cur = previous.video_ids_excluding(excluded_prev)
-        points.append(
-            ConsistencyPoint(
-                index=t,
-                j_previous=jaccard(cur_vs_prev, prev_vs_cur),
-                j_first=gap_aware_jaccard(current, first),
-                lost_from_previous=len(prev_vs_cur - cur_vs_prev),
-                gained_since_previous=len(cur_vs_prev - prev_vs_cur),
-                set_size=len(current.video_ids),
-            )
-        )
-    return points
+    return campaign_index(campaign).gap_aware_consistency(topic)

@@ -68,14 +68,6 @@ class TopicSnapshot:
         """Videos returned for one hour bin (0 when the hour is absent)."""
         return len(self.hour_video_ids.get(hour, ()))
 
-    def video_ids_excluding(self, hours: set[int]) -> set[str]:
-        """Returned IDs outside the given hour bins (gap-aware comparisons)."""
-        out: set[str] = set()
-        for h, ids in self.hour_video_ids.items():
-            if h not in hours:
-                out.update(ids)
-        return out
-
 
 @dataclass
 class Snapshot:
@@ -150,14 +142,6 @@ class CampaignResult:
         for snap in self.snapshots:
             for vid, resource in snap.topic(key).video_meta.items():
                 merged.setdefault(vid, resource)
-        return merged
-
-    def merged_channel_meta(self, key: str) -> dict[str, dict]:
-        """Per-channel metadata, first-seen-wins across collections."""
-        merged: dict[str, dict] = {}
-        for snap in self.snapshots:
-            for cid, resource in snap.topic(key).channel_meta.items():
-                merged.setdefault(cid, resource)
         return merged
 
     # -- persistence ---------------------------------------------------------

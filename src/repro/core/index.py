@@ -1,19 +1,18 @@
-"""Columnar campaign index: the analysis layer's shared fast path.
+"""Columnar campaign index: the one implementation of the batch analyses.
 
 Every batch analysis — consistency (Figure 1), attrition (Figure 3),
 pools (Table 4), the return-likelihood tables (3/6/7), the report and
 export bundles — consumes a :class:`~repro.core.datasets.CampaignResult`.
-Before this module each of them independently rebuilt Python ``set``s via
-``sets_for_topic``, per-video ``"PAPA…"`` strings, and merged metadata
-dicts on every call; ``repro analyze --all`` plus an export recomputed
-the same sets half a dozen times.  At the paper's census scale (six
-topics x 16 collections x ~672 hour bins) that re-derivation from raw
-JSON dominates analysis wall time.
+Re-deriving Python ``set``s, per-video ``"PAPA…"`` strings and merged
+metadata dicts from raw JSON on every call would dominate analysis wall
+time at the paper's census scale (six topics x 16 collections x ~672
+hour bins), and ``repro analyze --all`` plus an export asks the same
+questions half a dozen times.
 
 :class:`CampaignIndex` decodes a campaign **once** into columnar form:
 
 * an interned video-ID table per topic (``str <-> int32`` rows, sorted —
-  the same order ``sorted(ever_returned)`` gives the legacy analyses);
+  so every per-video output follows the sorted video IDs);
 * a packed boolean presence matrix ``present[n_videos, n_collections]``;
 * a parallel ``hour_of[n_videos, n_collections]`` int32 matrix (the hour
   bin each video was returned in; ``-1`` when absent) that, together with
@@ -24,21 +23,22 @@ JSON dominates analysis wall time.
   first-seen-wins captures;
 * the flat list of ``totalResults`` pool draws per topic.
 
-The hot analyses then run as vectorized kernels: pairwise and
-first-vs-t Jaccard, lost/gained set differences, and the full pairwise
-Jaccard matrix are boolean matrix ops; second-order Markov transition
-counts are a base-2 window encoding folded with ``np.bincount`` and fed
-to :func:`repro.stats.markov.chain_from_counts`; regression records and
-designs are assembled from the columnar arrays instead of per-video dict
-probing.
+The analyses then run as vectorized kernels: pairwise and first-vs-t
+Jaccard, lost/gained set differences, and the full pairwise Jaccard
+matrix are boolean matrix ops; second-order Markov transition counts are
+a base-2 window encoding folded with ``np.bincount`` and fed to
+:func:`repro.stats.markov.chain_from_counts`; regression records are
+assembled from the columnar arrays instead of per-video dict probing.
+The public functions in :mod:`repro.core.consistency`,
+:mod:`repro.core.attrition`, :mod:`repro.core.pools` and
+:mod:`repro.core.returnmodel` delegate here.
 
-**Equivalence is the contract.**  Every kernel returns values ``==`` to
-its reference implementation — the pre-index code paths, kept verbatim
-behind ``use_index=False`` in each analysis module — including error
-messages and the ``skip_degraded`` / ``missing_hours`` semantics
-(``tests/test_index_equivalence.py`` pins this with golden and seeded
-property tests, mirroring the collection layer's byte-identity
-discipline).
+**Pinned answers.**  ``tests/golden/analysis_outputs.json`` records
+every reader's answer — error messages and the ``skip_degraded`` /
+``missing_hours`` semantics included — on hand-built degraded and
+multi-bin campaigns, seeded random campaigns at every prefix, and a
+simulated campaign.  They were recorded from the set-based
+implementations this index replaced, which it matched exactly.
 
 Sharing: :func:`campaign_index` caches the index on the campaign object,
 keyed by a structural fingerprint (snapshot identities and per-topic
@@ -57,9 +57,9 @@ recognises when a cached fingerprint is a strict prefix of the new one
 (snapshots appended, nothing replaced) and extends the cached index in
 place instead of rebuilding; :meth:`CampaignIndex.incremental` starts an
 empty index for feeds that never retain raw snapshots at all (the
-``repro.core.spill`` store, ``CampaignStream``).  :meth:`build` stays
-the one-shot oracle: the incremental path is pinned ``==`` to it after
-every prefix by ``tests/test_index_incremental.py``.
+``repro.core.spill`` store, ``CampaignStream``).  The incremental path
+is pinned structurally equal to a one-shot :meth:`build` after every
+prefix by ``tests/test_index_incremental.py``.
 
 Memory: per topic the index holds one bool and one int32 matrix of shape
 ``(n_videos, n_collections)`` plus the interning dict — about 5 MB per
@@ -78,7 +78,6 @@ import numpy as np
 from repro.core.datasets import CampaignResult
 from repro.obs.observer import Observer
 from repro.stats.markov import chain_from_counts
-from repro.stats.transforms import log1p_standardize
 from repro.util.timeutil import parse_iso8601_duration, parse_rfc3339
 
 __all__ = ["CampaignIndex", "TopicIndex", "campaign_index"]
@@ -167,9 +166,7 @@ class TopicIndex:
     def observed(self, t: int, excluded: set[int]) -> np.ndarray:
         """Presence at collection ``t`` restricted to observed hour bins.
 
-        Equivalent to membership in
-        :meth:`~repro.core.datasets.TopicSnapshot.video_ids_excluding`:
-        a video stays present iff at least one of its return bins at
+        A video stays present iff at least one of its return bins at
         ``t`` is outside ``excluded``.
         """
         column = self.present[:, t]
@@ -191,9 +188,9 @@ def _jaccard_counts(intersection: int, union: int) -> float:
 class CampaignIndex:
     """Columnar view of one campaign plus memoized vectorized analyses.
 
-    Build through :func:`campaign_index` (shared and cached) or
-    :meth:`build` (explicit).  All reader methods return values ``==``
-    to the legacy analyses in :mod:`repro.core.consistency`,
+    Build through :func:`campaign_index` (shared and cached),
+    :meth:`build` (explicit) or :meth:`incremental`.  The reader methods
+    back the analyses in :mod:`repro.core.consistency`,
     :mod:`repro.core.attrition`, :mod:`repro.core.pools`, and
     :mod:`repro.core.returnmodel`.
     """
@@ -366,10 +363,9 @@ class CampaignIndex:
         the sorted interned order (``np.insert`` row growth at bisect
         positions, ``extra_hours`` rows remapped), one column is added to
         ``present``/``hour_of``, and the memoized analysis products are
-        invalidated.  The result is ``==`` to a one-shot :meth:`build`
-        over the same snapshots — the property sweep in
-        ``tests/test_index_incremental.py`` pins exact parity after every
-        prefix.
+        invalidated.  The result is structurally equal to a one-shot
+        :meth:`build` over the same snapshots — the property sweep in
+        ``tests/test_index_incremental.py`` pins that after every prefix.
         """
         t = self._n
         if snap.index != t:
@@ -604,8 +600,14 @@ class CampaignIndex:
         return points
 
     def gap_jaccard(self, topic: str, a: int, b: int) -> float:
-        """:func:`~repro.core.consistency.gap_aware_jaccard` between two
-        collections of one topic, on the columnar path."""
+        """Jaccard of two collections of one topic over the hour bins
+        *both* observed.
+
+        Missing hour bins on either side are excluded from both, so a
+        degraded collection's gaps do not count as churn; for two
+        complete collections this is the plain Jaccard of their sets.
+        Two empty restricted sets count as identical (1.0).
+        """
         ti = self.topic(topic)
         excluded = set(ti.missing_hours[a]) | set(ti.missing_hours[b])
         va, vb = ti.observed(a, excluded), ti.observed(b, excluded)
@@ -613,11 +615,8 @@ class CampaignIndex:
         return _jaccard_counts(inter, int(va.sum()) + int(vb.sum()) - inter)
 
     def jaccard_matrix(self, topic: str) -> list[list[float]]:
-        """Full pairwise Jaccard matrix over a topic's collections.
-
-        Equal to :meth:`repro.core.streaming.CampaignStream.jaccard_matrix`
-        on the same snapshots: symmetric, diagonal 1.0.
-        """
+        """Full pairwise Jaccard matrix over a topic's collections:
+        symmetric, diagonal 1.0."""
         ti = self.topic(topic)
         counts = ti.present.astype(np.int64)
         inter = counts.T @ counts
@@ -635,7 +634,7 @@ class CampaignIndex:
 
         With ``skip_degraded`` the degraded collections are dropped and
         the universe re-restricted to videos returned in the remaining
-        ones — exactly the sequences the legacy scan would build.
+        ones.
         """
         ti = self.topic(topic)
         sub = ti.present
@@ -882,55 +881,6 @@ class CampaignIndex:
             raise ValueError("no regression records (no metadata captured?)")
         self._records = records
         return list(records)
-
-    def regression_design(
-        self, reference_topic: str = "blm", drop: tuple[str, ...] = ()
-    ):
-        """The Section 5 design matrix straight from the columnar arrays.
-
-        Equal (``np.array_equal`` and same names) to
-        :func:`repro.core.returnmodel.build_regression_design` over
-        :meth:`regression_records` — the transforms are the same IEEE-754
-        operations whether fed Python lists or the stored arrays.
-        """
-        from repro.stats.design import build_design
-
-        self.regression_records()  # materialize columns + error parity
-        per_topic = [self._regression_columns(t) for t in self.topic_keys]
-        per_topic = [c for c in per_topic if c.video_ids]
-
-        def stacked(attribute: str) -> np.ndarray:
-            return np.concatenate([getattr(c, attribute) for c in per_topic])
-
-        definition: list[str] = []
-        topic_labels: list[str] = []
-        for cols, key in zip(
-            per_topic,
-            [t for t in self.topic_keys if self._regression_columns(t).video_ids],
-        ):
-            definition.extend(cols.definition)
-            topic_labels.extend([key] * len(cols.video_ids))
-        design = build_design(
-            continuous={
-                "duration": log1p_standardize(stacked("duration")),
-                "views": log1p_standardize(stacked("views")),
-                "likes": log1p_standardize(stacked("likes")),
-                "comments": log1p_standardize(stacked("comments")),
-                "channel age": log1p_standardize(
-                    np.maximum(stacked("channel_age_days"), 0)
-                ),
-                "channel views": log1p_standardize(stacked("channel_views")),
-                "channel subs": log1p_standardize(stacked("channel_subs")),
-                "# channel videos": log1p_standardize(stacked("channel_videos")),
-            },
-            categorical={
-                "quality": (definition, "hd"),
-                "topic": (topic_labels, reference_topic),
-            },
-        )
-        if drop:
-            design = design.drop(*drop)
-        return design
 
 
 def campaign_index(

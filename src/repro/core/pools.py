@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.core.datasets import CampaignResult
 from repro.sampling.pool import TOTAL_RESULTS_CAP
-from repro.stats.descriptive import describe
 
 __all__ = ["PoolStats", "pool_stats", "pool_consistency_coupling"]
 
@@ -35,33 +34,15 @@ class PoolStats:
         return self.mode >= TOTAL_RESULTS_CAP
 
 
-def pool_stats(
-    campaign: CampaignResult, topic: str, use_index: bool = True
-) -> PoolStats:
+def pool_stats(campaign: CampaignResult, topic: str) -> PoolStats:
     """Aggregate totalResults draws for one topic across the campaign.
 
-    ``use_index`` (default) reads the draws collected once by the shared
-    columnar index (:mod:`repro.core.index`) and memoizes the row;
-    ``use_index=False`` rescans the snapshots (the equivalence oracle).
+    Reads the draws collected once by the shared columnar index
+    (:mod:`repro.core.index`), which memoizes the row.
     """
-    if use_index:
-        from repro.core.index import campaign_index
+    from repro.core.index import campaign_index
 
-        return campaign_index(campaign).pool_stats(topic)
-    draws: list[int] = []
-    for snap in campaign.snapshots:
-        draws.extend(snap.topic(topic).pool_sizes.values())
-    if not draws:
-        raise ValueError(f"no pool draws recorded for topic {topic!r}")
-    desc = describe(draws)
-    return PoolStats(
-        topic=topic,
-        minimum=int(desc.minimum),
-        maximum=int(desc.maximum),
-        mean=desc.mean,
-        mode=int(desc.mode),
-        n_draws=desc.n,
-    )
+    return campaign_index(campaign).pool_stats(topic)
 
 
 def pool_consistency_coupling(

@@ -27,7 +27,6 @@ from repro.stats.design import DesignMatrix, build_design
 from repro.stats.ols import OLSResult, fit_ols
 from repro.stats.ordinal import OrdinalResult, fit_ordinal
 from repro.stats.transforms import bin_frequency, log1p_standardize
-from repro.util.timeutil import parse_iso8601_duration, parse_rfc3339
 
 __all__ = [
     "RegressionRecord",
@@ -57,66 +56,23 @@ class RegressionRecord:
     channel_videos: int
 
 
-def build_regression_records(
-    campaign: CampaignResult,
-    reference_topic: str = "blm",
-    use_index: bool = True,
-) -> list[RegressionRecord]:
+def build_regression_records(campaign: CampaignResult) -> list[RegressionRecord]:
     """Assemble the per-video dataset from a campaign's metadata captures.
 
     Videos whose metadata never arrived (deleted before any Videos:list
     call succeeded, or gapped in every collection) are dropped, as they are
-    in the paper's pipeline.
+    in the paper's pipeline.  Records follow the topic keys, then the
+    sorted video IDs.
 
-    ``use_index`` (default) reads the campaign's shared columnar index:
-    frequencies come from presence-column sums and the metadata columns
-    are decoded once and memoized, so the report/export/replication
-    layers stop re-merging the capture dicts per call.  ``use_index=False``
-    runs the original per-video probing below (the equivalence oracle).
+    Reads the campaign's shared columnar index: frequencies come from
+    presence-column sums and the metadata columns are decoded once and
+    memoized, so the report/export/replication layers share one decode.
+    The reference topic of the topic dummies is chosen later, by
+    :func:`build_regression_design` and the ``fit_*`` functions.
     """
-    if use_index:
-        from repro.core.index import campaign_index
+    from repro.core.index import campaign_index
 
-        return campaign_index(campaign).regression_records()
-    records: list[RegressionRecord] = []
-    for topic in campaign.topic_keys:
-        video_meta = campaign.merged_video_meta(topic)
-        channel_meta = campaign.merged_channel_meta(topic)
-        sets = campaign.sets_for_topic(topic)
-        collected_at = campaign.snapshots[0].collected_at
-
-        for video_id in sorted(campaign.ever_returned(topic)):
-            meta = video_meta.get(video_id)
-            if meta is None:
-                continue
-            channel = channel_meta.get(meta["snippet"]["channelId"])
-            if channel is None:
-                continue
-            frequency = sum(1 for s in sets if video_id in s)
-            stats = meta.get("statistics", {})
-            details = meta.get("contentDetails", {})
-            channel_created = parse_rfc3339(channel["snippet"]["publishedAt"])
-            records.append(
-                RegressionRecord(
-                    video_id=video_id,
-                    topic=topic,
-                    frequency=frequency,
-                    duration_seconds=parse_iso8601_duration(
-                        details.get("duration", "PT1S")
-                    ),
-                    definition=details.get("definition", "hd"),
-                    views=int(stats.get("viewCount", 0)),
-                    likes=int(stats.get("likeCount", 0)),
-                    comments=int(stats.get("commentCount", 0)),
-                    channel_age_days=(collected_at - channel_created).days,
-                    channel_views=int(channel["statistics"]["viewCount"]),
-                    channel_subs=int(channel["statistics"]["subscriberCount"]),
-                    channel_videos=int(channel["statistics"]["videoCount"]),
-                )
-            )
-    if not records:
-        raise ValueError("no regression records (no metadata captured?)")
-    return records
+    return campaign_index(campaign).regression_records()
 
 
 def build_regression_design(

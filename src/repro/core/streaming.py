@@ -1,4 +1,4 @@
-"""Streaming incremental campaign analysis (RQ1/RQ2 as snapshots land).
+"""Streaming campaign analysis (RQ1/RQ2 as snapshots land).
 
 The batch analysis modules (:mod:`repro.core.consistency`,
 :mod:`repro.core.attrition`, :mod:`repro.core.returnmodel`) consume a
@@ -7,135 +7,27 @@ collection produces its snapshots one every five days; waiting for the
 final merge to learn that consistency is collapsing (or that the quota
 budget is mis-sized) wastes most of the campaign.  :class:`CampaignStream`
 consumes snapshots *as they complete* — :func:`repro.core.campaign.run_campaign`
-feeds it resumed and freshly-collected snapshots alike — and maintains:
-
-* a running pairwise Jaccard matrix per topic (every new set is compared
-  against all previous sets once, on arrival);
-* incremental :class:`~repro.core.consistency.ConsistencyPoint` series,
-  plain and gap-aware (RQ1, Figure 1);
-* presence/absence Markov *transition counts* (RQ2, Figure 3): a new
-  video's retroactive all-absent prefix is folded in at first appearance,
-  after which each collection advances every tracked video by one symbol —
-  the accumulated counts are exactly those of the batch sliding-window
-  scan, so :func:`repro.stats.markov.chain_from_counts` rebuilds an
-  identical chain;
-* per-video return-count accumulators plus first-seen-wins metadata
-  merges, from which :meth:`CampaignStream.regression_records` assembles
-  the Section 5 dataset byte-for-byte as
-  :func:`repro.core.returnmodel.build_regression_records` would.
-
-Equivalence is the contract, not an aspiration: every reader method
-returns values ``==`` to its batch counterpart on the same snapshots
+feeds it resumed and freshly-collected snapshots alike — and folds each
+one into a single incremental :class:`~repro.core.index.CampaignIndex`
+(:meth:`~repro.core.index.CampaignIndex.append_snapshot`, O(delta) per
+collection).  Every reader delegates to that index, so each answer is
+the batch analysis's answer on the snapshots consumed so far
 (``tests/test_streaming.py`` pins this, degraded snapshots included).
 
-Memory: the stream keeps per-topic ID sets, the hour-level structure of
-only the *first* and *previous* topic snapshots (for gap-aware
-comparisons), and merged metadata — it drops comments and per-hour data
-otherwise, so a long campaign's working set stays far below the list of
-full snapshots the batch path holds.
+Memory: the index keeps the columnar presence/hour-bin matrices and the
+merged first-seen-wins metadata; the stream retains no snapshot, so
+comments and per-hour data are dropped once a snapshot is folded in.
 """
 
 from __future__ import annotations
 
-from datetime import datetime
-
 from repro.core.attrition import ABSENT, PRESENT, AttritionResult
-from repro.core.consistency import ConsistencyPoint, gap_aware_jaccard, jaccard
-from repro.core.datasets import Snapshot, TopicSnapshot
+from repro.core.consistency import ConsistencyPoint
+from repro.core.datasets import Snapshot
+from repro.core.index import CampaignIndex
 from repro.core.returnmodel import RegressionRecord
-from repro.stats.markov import chain_from_counts
-from repro.util.timeutil import parse_iso8601_duration, parse_rfc3339
 
 __all__ = ["CampaignStream"]
-
-
-class _MarkovAccumulator:
-    """Incremental second-order P/A transition counts for one topic.
-
-    Batch estimation slides a window over each video's full sequence; this
-    accumulator reproduces the same counts without ever materializing the
-    sequences.  When a video first appears at collection ``t`` its
-    retroactive prefix is ``t`` absences followed by one presence, which
-    contributes ``max(0, t - 2)`` ``(A,A)->A`` transitions and (for
-    ``t >= 2``) one ``(A,A)->P``; thereafter each collection advances every
-    tracked video by one symbol, counting the transition out of its stored
-    two-symbol history.  Every window of every final sequence is counted
-    exactly once, so the counts — and the chain built from them — are
-    identical to the batch scan's.
-    """
-
-    ORDER = 2
-
-    def __init__(self) -> None:
-        self.t = 0  # collections consumed
-        self.counts: dict[tuple[str, ...], dict[str, int]] = {}
-        self.states: set[str] = set()
-        #: video -> its last (up to) ORDER symbols
-        self.histories: dict[str, tuple[str, ...]] = {}
-
-    def add(self, present: set[str]) -> None:
-        """Fold in one collection's returned-ID set."""
-        t = self.t
-        for video_id, history in self.histories.items():
-            symbol = PRESENT if video_id in present else ABSENT
-            if symbol == ABSENT:
-                self.states.add(ABSENT)
-            if len(history) == self.ORDER:
-                bucket = self.counts.setdefault(history, {})
-                bucket[symbol] = bucket.get(symbol, 0) + 1
-                self.histories[video_id] = (history[1], symbol)
-            else:
-                self.histories[video_id] = history + (symbol,)
-        for video_id in present:
-            if video_id in self.histories:
-                continue
-            self.states.add(PRESENT)
-            if t >= 1:
-                self.states.add(ABSENT)
-            if t >= 2:
-                bucket = self.counts.setdefault((ABSENT, ABSENT), {})
-                if t > 2:
-                    bucket[ABSENT] = bucket.get(ABSENT, 0) + (t - 2)
-                bucket[PRESENT] = bucket.get(PRESENT, 0) + 1
-            if t == 0:
-                self.histories[video_id] = (PRESENT,)
-            else:
-                self.histories[video_id] = (ABSENT, PRESENT)
-        self.t = t + 1
-
-    @property
-    def n_sequences(self) -> int:
-        """Sequences tracked so far (the topic's ever-returned universe)."""
-        return len(self.histories)
-
-
-def _slim(ts: TopicSnapshot) -> TopicSnapshot:
-    """A topic snapshot stripped to what gap-aware comparisons read."""
-    return TopicSnapshot(
-        topic=ts.topic,
-        collected_at=ts.collected_at,
-        hour_video_ids=ts.hour_video_ids,
-        pool_sizes={},
-        missing_hours=list(ts.missing_hours),
-    )
-
-
-class _TopicState:
-    """Everything the stream retains for one topic."""
-
-    def __init__(self) -> None:
-        self.sets: list[set[str]] = []
-        self.jaccard_rows: list[list[float]] = []  # lower triangle, incl. diagonal
-        self.points: list[ConsistencyPoint] = []
-        self.gap_points: list[ConsistencyPoint] = []
-        self.first: TopicSnapshot | None = None
-        self.previous: TopicSnapshot | None = None
-        self.degraded_indices: list[int] = []
-        self.markov = _MarkovAccumulator()
-        self.markov_skip = _MarkovAccumulator()  # skip_degraded variant
-        self.return_counts: dict[str, int] = {}
-        self.video_meta: dict[str, dict] = {}
-        self.channel_meta: dict[str, dict] = {}
 
 
 class CampaignStream:
@@ -143,39 +35,29 @@ class CampaignStream:
 
     Feed snapshots through :meth:`add_snapshot` (out-of-order feeding is a
     ``ValueError`` — streaming state is order-dependent) and read any of
-    the analysis views at any point; each is exactly equal to running its
-    batch counterpart on the snapshots consumed so far.
+    the analysis views at any point; each equals its batch counterpart on
+    the snapshots consumed so far.
 
     Parameters
     ----------
     topic_keys:
         The campaign's topic keys, in analysis order.  ``None`` adopts the
         first snapshot's topics in their snapshot order.
-    build_index:
-        Also grow an incremental :class:`~repro.core.index.CampaignIndex`
-        (O(delta) ``append_snapshot`` per collection), so the full
-        vectorized analysis battery is available from the stream without
-        ever retaining the raw snapshots; read it from :attr:`index`.
     corpus:
-        Optional live columnar corpus handed to the incremental index
-        (static video/channel facts for the regression columns).
+        Optional live columnar corpus handed to the index (static
+        video/channel facts for the regression columns).
     """
 
     def __init__(
         self,
         topic_keys: tuple[str, ...] | None = None,
-        build_index: bool = False,
         corpus=None,
     ) -> None:
         self._topic_keys: tuple[str, ...] | None = (
             tuple(topic_keys) if topic_keys is not None else None
         )
-        self._states: dict[str, _TopicState] = {}
-        self._n = 0
-        self._first_collected_at: datetime | None = None
-        self._build_index = build_index
         self._corpus = corpus
-        self._index = None
+        self._index: CampaignIndex | None = None
 
     # -- feeding -------------------------------------------------------------
 
@@ -187,135 +69,49 @@ class CampaignStream:
     @property
     def n_collections(self) -> int:
         """Snapshots consumed so far."""
-        return self._n
+        return self._index.n_collections if self._index is not None else 0
 
     @property
-    def index(self):
-        """The incremental index grown alongside the stream, when
-        ``build_index=True`` was requested (``None`` otherwise, and before
-        the first snapshot)."""
+    def index(self) -> CampaignIndex | None:
+        """The incremental index every reader delegates to (``None``
+        before the first snapshot)."""
         return self._index
 
     def add_snapshot(self, snap: Snapshot) -> None:
         """Fold in the next snapshot (must arrive in collection order).
 
-        Contiguity is validated before any state mutates: a gap, a
-        duplicate, or a snapshot missing one of the stream's topics is a
-        ``ValueError`` — order-dependent streaming state (and the
-        incremental index riding along) must never silently diverge from
-        what a batch rebuild would compute.
+        :meth:`~repro.core.index.CampaignIndex.append_snapshot` validates
+        before any state mutates: a gap, a duplicate, or a snapshot
+        missing one of the stream's topics is a ``ValueError``, so the
+        stream never silently diverges from a batch rebuild.
         """
-        if snap.index != self._n:
-            problem = (
-                "a gap in the feed"
-                if snap.index > self._n
-                else "a duplicate or out-of-order snapshot"
+        if self._index is None:
+            if self._topic_keys is None:
+                self._topic_keys = tuple(snap.topics)
+            self._index = CampaignIndex.incremental(
+                self._topic_keys, corpus=self._corpus
             )
-            raise ValueError(
-                f"streaming analysis needs snapshots in collection order: "
-                f"expected index {self._n}, got {snap.index} ({problem})"
-            )
-        keys = self._topic_keys if self._topic_keys is not None else tuple(snap.topics)
-        absent = [key for key in keys if key not in snap.topics]
-        if absent:
-            raise ValueError(
-                f"snapshot {snap.index} is missing topic(s) "
-                f"{', '.join(sorted(absent))}; streaming state would "
-                "silently diverge from a batch rebuild"
-            )
-        self._topic_keys = keys
-        if self._first_collected_at is None:
-            self._first_collected_at = snap.collected_at
-        for key in self._topic_keys:
-            self._add_topic(key, snap.topic(key), snap.index)
-        if self._build_index:
-            if self._index is None:
-                from repro.core.index import CampaignIndex
+        self._index.append_snapshot(snap)
 
-                self._index = CampaignIndex.incremental(
-                    self._topic_keys, corpus=self._corpus
-                )
-            self._index.append_snapshot(snap)
-        self._n += 1
-
-    def _add_topic(self, key: str, ts: TopicSnapshot, index: int) -> None:
-        state = self._states.setdefault(key, _TopicState())
-        current_ids = ts.video_ids
-
-        # Pairwise Jaccard matrix: one new row against all previous sets.
-        state.jaccard_rows.append(
-            [jaccard(current_ids, previous) for previous in state.sets] + [1.0]
-        )
-
-        # RQ1 consistency points (plain and gap-aware).
-        slim = _slim(ts)
-        if state.sets:
-            prev_ids = state.sets[-1]
-            state.points.append(
-                ConsistencyPoint(
-                    index=index,
-                    j_previous=jaccard(current_ids, prev_ids),
-                    j_first=jaccard(current_ids, state.sets[0]),
-                    lost_from_previous=len(prev_ids - current_ids),
-                    gained_since_previous=len(current_ids - prev_ids),
-                    set_size=len(current_ids),
-                )
-            )
-            previous = state.previous
-            excluded = set(slim.missing_hours) | set(previous.missing_hours)
-            cur_vs_prev = slim.video_ids_excluding(excluded)
-            prev_vs_cur = previous.video_ids_excluding(excluded)
-            state.gap_points.append(
-                ConsistencyPoint(
-                    index=index,
-                    j_previous=jaccard(cur_vs_prev, prev_vs_cur),
-                    j_first=gap_aware_jaccard(slim, state.first),
-                    lost_from_previous=len(prev_vs_cur - cur_vs_prev),
-                    gained_since_previous=len(cur_vs_prev - prev_vs_cur),
-                    set_size=len(current_ids),
-                )
-            )
-        else:
-            state.first = slim
-        state.previous = slim
-
-        # RQ2 attrition: advance both accumulator variants.
-        state.markov.add(current_ids)
-        if ts.degraded:
-            state.degraded_indices.append(index)
-        else:
-            state.markov_skip.add(current_ids)
-
-        # RQ2 return model: counts + first-seen-wins metadata.
-        for video_id in current_ids:
-            state.return_counts[video_id] = state.return_counts.get(video_id, 0) + 1
-        for vid, resource in ts.video_meta.items():
-            state.video_meta.setdefault(vid, resource)
-        for cid, resource in ts.channel_meta.items():
-            state.channel_meta.setdefault(cid, resource)
-
-        state.sets.append(current_ids)
+    def _reader(self) -> CampaignIndex:
+        """The index, or an empty one before the first snapshot."""
+        if self._index is not None:
+            return self._index
+        return CampaignIndex.incremental(self.topic_keys, corpus=self._corpus)
 
     # -- RQ1: temporal consistency -------------------------------------------
 
     def jaccard_matrix(self, topic: str) -> list[list[float]]:
         """The full symmetric pairwise Jaccard matrix for one topic."""
-        rows = self._state(topic).jaccard_rows
-        n = len(rows)
-        return [
-            [rows[i][j] if j <= i else rows[j][i] for j in range(n)]
-            for i in range(n)
-        ]
+        return self._reader().jaccard_matrix(topic)
 
     def consistency(self, topic: str) -> list[ConsistencyPoint]:
         """Equal to :func:`repro.core.consistency.consistency_series`."""
-        self._need_two()
-        return list(self._state(topic).points)
+        return self._reader().consistency(topic)
 
     def gap_aware_consistency(self, topic: str) -> list[ConsistencyPoint]:
         """Equal to :func:`~repro.core.consistency.gap_aware_consistency_series`."""
-        self._need_two()
-        return list(self._state(topic).gap_points)
+        return self._reader().gap_aware_consistency(topic)
 
     # -- RQ2: attrition + return model ---------------------------------------
 
@@ -323,76 +119,24 @@ class CampaignStream:
         self, topics: list[str] | None = None, skip_degraded: bool = False
     ) -> AttritionResult:
         """Equal to :func:`repro.core.attrition.attrition_analysis`."""
-        keys = list(topics) if topics is not None else list(self.topic_keys)
-        counts: dict[tuple[str, ...], dict[str, int]] = {}
-        states: set[str] = set()
-        n_sequences = 0
-        for key in keys:
-            acc = (
-                self._state(key).markov_skip
-                if skip_degraded
-                else self._state(key).markov
-            )
-            n_sequences += acc.n_sequences
-            states |= acc.states
-            for history, outgoing in acc.counts.items():
-                bucket = counts.setdefault(history, {})
-                for symbol, count in outgoing.items():
-                    bucket[symbol] = bucket.get(symbol, 0) + count
-        if n_sequences == 0:
-            raise ValueError("no videos were ever returned; nothing to analyze")
-        chain = chain_from_counts(counts, states, order=_MarkovAccumulator.ORDER)
-        return AttritionResult(chain=chain, n_sequences=n_sequences)
+        return self._reader().attrition(topics, skip_degraded=skip_degraded)
 
     def regression_records(self) -> list[RegressionRecord]:
         """Equal to :func:`repro.core.returnmodel.build_regression_records`."""
-        records: list[RegressionRecord] = []
-        collected_at = self._first_collected_at
-        for topic in self.topic_keys:
-            state = self._state(topic)
-            for video_id in sorted(state.return_counts):
-                meta = state.video_meta.get(video_id)
-                if meta is None:
-                    continue
-                channel = state.channel_meta.get(meta["snippet"]["channelId"])
-                if channel is None:
-                    continue
-                stats = meta.get("statistics", {})
-                details = meta.get("contentDetails", {})
-                channel_created = parse_rfc3339(channel["snippet"]["publishedAt"])
-                records.append(
-                    RegressionRecord(
-                        video_id=video_id,
-                        topic=topic,
-                        frequency=state.return_counts[video_id],
-                        duration_seconds=parse_iso8601_duration(
-                            details.get("duration", "PT1S")
-                        ),
-                        definition=details.get("definition", "hd"),
-                        views=int(stats.get("viewCount", 0)),
-                        likes=int(stats.get("likeCount", 0)),
-                        comments=int(stats.get("commentCount", 0)),
-                        channel_age_days=(collected_at - channel_created).days,
-                        channel_views=int(channel["statistics"]["viewCount"]),
-                        channel_subs=int(channel["statistics"]["subscriberCount"]),
-                        channel_videos=int(channel["statistics"]["videoCount"]),
-                    )
-                )
-        if not records:
-            raise ValueError("no regression records (no metadata captured?)")
-        return records
+        return self._reader().regression_records()
 
     # -- rendering -----------------------------------------------------------
 
     def render_summary(self) -> str:
         """The RQ1/RQ2 summary ``repro campaign --analyze`` prints."""
-        lines = [f"== streaming analysis ({self._n} collections) =="]
-        if self._n < 2:
+        n = self.n_collections
+        lines = [f"== streaming analysis ({n} collections) =="]
+        if n < 2:
             lines.append("(need at least two collections for RQ1/RQ2 series)")
             return "\n".join(lines)
         lines.append("RQ1 — temporal consistency (Section 4.1):")
         for topic in self.topic_keys:
-            points = self._state(topic).points
+            points = self.consistency(topic)
             mean_prev = sum(p.j_previous for p in points) / len(points)
             final = points[-1]
             lines.append(
@@ -419,22 +163,10 @@ class CampaignStream:
             lines.append(f"RQ2 — return model: unavailable ({exc})")
         else:
             mean_freq = sum(r.frequency for r in records) / len(records)
-            always = sum(1 for r in records if r.frequency == self._n)
+            always = sum(1 for r in records if r.frequency == n)
             lines.append(
                 f"RQ2 — return frequency (Section 5): {len(records)} videos "
-                f"with metadata, mean frequency {mean_freq:.2f}/{self._n}, "
+                f"with metadata, mean frequency {mean_freq:.2f}/{n}, "
                 f"{always} returned every time"
             )
         return "\n".join(lines)
-
-    # -- internals -----------------------------------------------------------
-
-    def _state(self, topic: str) -> _TopicState:
-        state = self._states.get(topic)
-        if state is None:
-            raise KeyError(f"unknown topic {topic!r} (no snapshots consumed?)")
-        return state
-
-    def _need_two(self) -> None:
-        if self._n < 2:
-            raise ValueError("consistency analysis needs at least two collections")

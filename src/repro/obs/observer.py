@@ -143,9 +143,8 @@ class Observer:
         threads: int,
         tokens: int,
         wall_s: float,
-        path: str,
     ) -> None:
-        """A synthetic world was generated (``path`` in columnar/legacy)."""
+        """A synthetic world was generated."""
 
     # -- serve layer -----------------------------------------------------------
 
@@ -380,9 +379,8 @@ class CampaignObserver(Observer):
         threads: int,
         tokens: int,
         wall_s: float,
-        path: str,
     ) -> None:
-        self.metrics.inc("world.builds", path=path)
+        self.metrics.inc("world.builds")
         self.metrics.observe("world.build_wall_s", wall_s)
         self.metrics.set_gauge("world.videos", videos)
         self.metrics.set_gauge("world.channels", channels)
@@ -390,7 +388,7 @@ class CampaignObserver(Observer):
         self.metrics.set_gauge("world.tokens", tokens)
         self.tracer.emit(
             "world.build", videos=videos, channels=channels, threads=threads,
-            tokens=tokens, wall_s=round(wall_s, 6), path=path,
+            tokens=tokens, wall_s=round(wall_s, 6),
         )
 
     # -- serve layer -----------------------------------------------------------

@@ -68,7 +68,7 @@ class ObsSummary:
     circuit_transitions: list[tuple[str, str, str]] = field(default_factory=list)
     degraded_events: dict[str, int] = field(default_factory=dict)
     #: flat ``world.build`` event dicts (videos/channels/threads/tokens/
-    #: wall_s/path), in emission order.
+    #: wall_s), in emission order.
     world_builds: list[dict] = field(default_factory=list)
 
     @property
@@ -177,7 +177,6 @@ def summarize_events(events: Iterable[dict]) -> ObsSummary:
                     "threads": int(event.get("threads", 0)),
                     "tokens": int(event.get("tokens", 0)),
                     "wall_s": float(event.get("wall_s", 0.0)),
-                    "path": event.get("path", "?"),
                 }
             )
     s.snapshots.sort(key=lambda snap: snap.index)
@@ -226,12 +225,12 @@ def _render_totals(s: ObsSummary) -> str:
 
 def _render_world_builds(s: ObsSummary) -> str:
     rows = [
-        [b["path"], b["videos"], b["channels"], b["threads"], b["tokens"],
+        [b["videos"], b["channels"], b["threads"], b["tokens"],
          round(b["wall_s"], 3)]
         for b in s.world_builds
     ]
     return render_table(
-        ["path", "videos", "channels", "threads", "tokens", "wall s"],
+        ["videos", "channels", "threads", "tokens", "wall s"],
         rows,
         title="World builds",
     )

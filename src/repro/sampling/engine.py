@@ -53,7 +53,6 @@ from repro.sampling.bias import inclusion_bias
 from repro.sampling.churn import ChurnProcess
 from repro.sampling.density import InterestDensity
 from repro.sampling.pool import TOTAL_RESULTS_CAP, PoolSizeModel
-from repro.util.timeutil import hour_index
 from repro.world.entities import Video
 from repro.world.store import PlatformStore
 from repro.world.topics import TopicSpec
@@ -140,37 +139,14 @@ class _TopicRuntime:
         self.density = InterestDensity(spec, budget_jitter=params.budget_jitter)
         self.pool = PoolSizeModel(spec)
         self.churn = ChurnProcess(spec, len(self.videos), seed)
-        corpus = getattr(store, "corpus", None)
-        if corpus is not None and spec.key in corpus.topics:
-            # Columnar fast path: the corpus already holds publish/delete
-            # epochs; slice them in videos_for_topic order instead of
-            # recomputing per materialized dataclass.  Values are identical
-            # (whole-microsecond epochs divide exactly into POSIX seconds).
-            self.pub_ts, self.del_ts, self.hour_of = corpus.engine_columns(spec.key)
-        else:
-            # Precomputed hour offset of each video within the topic window.
-            self.hour_of = np.array(
-                [
-                    min(max(hour_index(spec.window_start, v.published_at), 0),
-                        spec.window_hours - 1)
-                    for v in self.videos
-                ],
-                dtype=np.int64,
-            )
-            # Publish/delete instants as POSIX seconds, so per-query liveness
-            # is one vectorized comparison instead of a Python call per video.
-            # Microsecond-datetime comparisons survive the float64 round trip
-            # exactly (the gap between distinct datetimes is several ulps).
-            self.pub_ts = np.array(
-                [v.published_at.timestamp() for v in self.videos], dtype=np.float64
-            )
-            self.del_ts = np.array(
-                [
-                    v.deleted_at.timestamp() if v.deleted_at is not None else np.inf
-                    for v in self.videos
-                ],
-                dtype=np.float64,
-            )
+        # Publish/delete instants as POSIX seconds (so per-query liveness is
+        # one vectorized comparison) and each video's hour offset within
+        # the topic window, sliced from the corpus epochs in
+        # videos_for_topic order: whole-microsecond epochs divide exactly
+        # into POSIX seconds.
+        self.pub_ts, self.del_ts, self.hour_of = store.corpus.engine_columns(
+            spec.key
+        )
         # The return fraction is defined against the *unsuppressed* part of
         # the corpus: suppressed hours never return anything, so hitting the
         # topic's return budget requires a correspondingly higher fraction

@@ -46,9 +46,9 @@ def chain_from_counts(
     """Build an estimate from pre-accumulated transition counts.
 
     The maximum-likelihood probabilities are a pure function of the counts,
-    so any accumulation scheme that produces the same counts — the batch
-    sliding-window scan below, or the streaming accumulator in
-    :mod:`repro.core.streaming` — yields an identical estimate (dict
+    so any accumulation scheme that produces the same counts — the
+    sliding-window scan below, or the window encoding in
+    :mod:`repro.core.index` — yields an identical estimate (dict
     equality ignores insertion order).
     """
     if order < 1:

@@ -1,11 +1,12 @@
 """Channel population generation.
 
-The RNG draws were already batched (one metrics draw plus three name/country
-index batches per topic); the columnar split separates the *draw* step
-(:func:`draw_channel_columns`, shared by the legacy and columnar builders so
-both consume the identical RNG stream) from per-row dataclass assembly
-(:func:`channel_from_row`, used eagerly by :func:`generate_channels` and
-lazily by the columnar corpus).
+The RNG draws are batched (one metrics draw plus three name/country index
+batches per topic).  The *draw* step (:func:`draw_channel_columns`) is
+separate from per-row dataclass assembly (:func:`channel_from_row`), which
+the columnar corpus runs lazily, one channel at a time.  Channel creation
+dates all precede the topic window start (a channel must exist before it
+can upload), and metrics follow the correlated model in
+:mod:`repro.world.popularity`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "draw_channel_columns",
     "channel_from_row",
     "channel_ordinal_base",
-    "generate_channels",
 ]
 
 _COUNTRIES = ("US", "GB", "CA", "AU", "DE", "FR", "BR", "IN", "JP", "MX")
@@ -100,17 +100,3 @@ def channel_from_row(spec: TopicSpec, cols: ChannelColumns, i: int, cid: str) ->
         topic=spec.key,
     )
 
-
-def generate_channels(
-    spec: TopicSpec, seed: int, rng: np.random.Generator
-) -> list[Channel]:
-    """Generate the channel population for one topic.
-
-    Channel creation dates all precede the topic window start (a channel
-    must exist before it can upload), and metrics follow the correlated
-    model in :mod:`repro.world.popularity`.
-    """
-    cols = draw_channel_columns(spec, rng)
-    base = channel_ordinal_base(spec)
-    cids = ids.channel_ids(seed, base, cols.n)
-    return [channel_from_row(spec, cols, i, cids[i]) for i in range(cols.n)]

@@ -11,8 +11,9 @@ split into two stages:
    subtopic, and text-filler assignment.  The video/channel draws consume
    *exactly* the RNG stream the historical scalar builder consumed (batch
    draws from a NumPy ``Generator`` are bit-identical to the equivalent
-   scalar sequences), so a columnar world equals a legacy world entity for
-   entity — the golden campaign digests lock this.
+   scalar sequences), so a columnar world equals the historical builder's
+   world entity for entity — the recorded world digests in
+   ``tests/test_world_columnar.py`` and the golden campaign lock this.
 
 2. **Materialize** — :class:`ColumnarCorpus` turns rows into the existing
    :class:`~repro.world.entities.Video` / ``Channel`` / ``CommentThread``
@@ -694,10 +695,11 @@ class ColumnarCorpus:
     def vocabulary_size(self) -> int:
         """Number of distinct tokens across the whole corpus.
 
-        Equals ``len(token_index)`` of the legacy store: structural tokens
-        from the combo texts, plus one ordinal token per row up to the
-        largest topic (ordinal tokens that also appear structurally — e.g.
-        a year inside a query — are not double counted).
+        Equals what a full tokenize scan of every video's searchable text
+        finds: structural tokens from the combo texts, plus one ordinal
+        token per row up to the largest topic (ordinal tokens that also
+        appear structurally — e.g. a year inside a query — are not double
+        counted).
         """
         if self._vocab_size is None:
             with self._lock:

@@ -11,9 +11,9 @@ N/A cells.
 The draw step is *phase-batched*: instead of interleaving per-thread scalar
 draws, :func:`draw_thread_columns` draws each quantity (thread counts, gap
 seconds, author/phrase/like indices, deletion hazards, reply fans) as one
-whole-topic array in a fixed canonical phase order.  Both the legacy eager
-builder and the columnar lazy corpus consume these same columns, so the two
-paths materialize identical threads by construction.
+whole-topic array in a fixed canonical phase order.  The columnar corpus
+materializes one video's threads from these columns on demand
+(:func:`materialize_video_threads`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.util.rng import stable_hash
 from repro.world import ids
-from repro.world.entities import Comment, CommentThread, Video
+from repro.world.entities import Comment, CommentThread
 from repro.world.topics import TopicSpec
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "draw_thread_columns",
     "materialize_video_threads",
     "thread_ordinal_base",
-    "generate_threads",
 ]
 
 _MAX_THREADS_PER_VIDEO = 36
@@ -184,9 +183,10 @@ def materialize_video_threads(
     """Materialize one video's threads from the columns.
 
     Thread ordinals are global within the topic (``ordinal_base`` plus the
-    thread's video-major position), so lazily materializing one video mints
-    the same IDs the eager builder does.  Threads are returned sorted by
-    ``(top-level publish time, thread id)``, the API's stable order.
+    thread's video-major position), so a video's thread IDs do not depend
+    on which other videos were materialized first.  Threads are returned
+    sorted by ``(top-level publish time, thread id)``, the API's stable
+    order.
     """
     lo = int(cols.t_start[video_row])
     hi = int(cols.t_start[video_row + 1])
@@ -235,25 +235,3 @@ def _deleted_at(published_at: datetime, delay_days: float) -> datetime | None:
         return None
     return published_at + timedelta(days=delay_days)
 
-
-def generate_threads(
-    spec: TopicSpec,
-    videos: list[Video],
-    seed: int,
-    rng: np.random.Generator,
-) -> dict[str, list[CommentThread]]:
-    """Generate comment threads for every video of a topic.
-
-    Returns a mapping ``video_id -> [CommentThread, ...]`` ordered by the
-    top-level comment's publication time (the API returns threads in a
-    stable order for identical queries).
-    """
-    comment_counts = np.array([v.comment_count for v in videos], dtype=np.int64)
-    cols = draw_thread_columns(spec, comment_counts, rng)
-    base = thread_ordinal_base(spec)
-    out: dict[str, list[CommentThread]] = {}
-    for row, video in enumerate(videos):
-        out[video.video_id] = materialize_video_threads(
-            spec, seed, cols, row, video.video_id, video.published_at, base
-        )
-    return out

@@ -7,15 +7,11 @@ matches the topic's query, and sprinkle a small deletion hazard (the paper
 verifies deletions cannot explain the search endpoint's drift; our audit
 code must face the same confound).
 
-Both builder paths draw the topic columns with the same vectorized
-functions, so their RNG streams are identical by construction:
-
-* ``use_columnar=True`` (default) wraps the columns in a
-  :class:`~repro.world.columnar.ColumnarWorld` that materializes entity
-  dataclasses lazily — building a 100x world costs array draws only;
-* ``use_columnar=False`` assembles every dataclass eagerly into plain
-  dicts, exactly like the historical scalar builder — it is the
-  byte-identity oracle the golden campaign digests are locked against.
+The draws are vectorized per topic (:mod:`repro.world.columnar`) and the
+result is a :class:`~repro.world.columnar.ColumnarWorld` that materializes
+entity dataclasses lazily from the typed arrays.
+``tests/test_world_columnar.py`` pins the materialized worlds by recorded
+digests.
 """
 
 from __future__ import annotations
@@ -23,39 +19,18 @@ from __future__ import annotations
 import dataclasses
 import time
 
-import numpy as np
-
-from repro.util.rng import SeedBank, stable_hash
-from repro.world import ids
-from repro.world.channels import draw_channel_columns, generate_channels
+from repro.util.rng import SeedBank
+from repro.world.channels import draw_channel_columns
 from repro.world.columnar import (
     ColumnarCorpus,
     ColumnarWorld,
-    DELETE_DURING_CAMPAIGN,
-    DELETION_FRACTION,
-    DESCRIPTION_FILLER,
-    TITLE_FILLER,
     TopicColumns,
-    compose_text,
-    deletion_datetimes,
     draw_video_columns,
-    video_from_row,
-    video_ordinal_base,
 )
-from repro.world.comments import draw_thread_columns, generate_threads
-from repro.world.entities import Video, World
+from repro.world.comments import draw_thread_columns
 from repro.world.topics import TopicSpec
-from repro.util.timeutil import from_epoch_us
 
 __all__ = ["build_world", "scale_topic", "scale_topics"]
-
-# Historical aliases (pre-columnar module layout); the text tables and
-# deletion constants now live in repro.world.columnar.
-_TITLE_FILLER = TITLE_FILLER
-_DESCRIPTION_FILLER = DESCRIPTION_FILLER
-_DELETION_FRACTION = DELETION_FRACTION
-_DELETE_DURING_CAMPAIGN = DELETE_DURING_CAMPAIGN
-_compose_text = compose_text
 
 
 def scale_topic(spec: TopicSpec, scale: float) -> TopicSpec:
@@ -90,15 +65,16 @@ def build_world(
     seed: int,
     with_comments: bool = True,
     *,
-    use_columnar: bool = True,
     observer=None,
-) -> World:
+) -> ColumnarWorld:
     """Generate the complete platform for the given topics.
 
     The build is deterministic in ``seed``: identical seeds produce
-    identical worlds down to every ID, timestamp, and metric — on either
-    builder path (``use_columnar=True`` materializes lazily from typed
-    arrays; ``False`` is the eager scalar oracle).
+    identical worlds down to every ID, timestamp, and metric.  Each
+    topic's columns are drawn as whole-topic arrays and wrapped in a
+    :class:`~repro.world.columnar.ColumnarWorld`, which materializes
+    entity dataclasses lazily — building a 100x world costs array draws
+    only.
 
     When ``observer`` is given, a ``world.build`` event with entity counts,
     vocabulary size, and wall time is emitted on completion.
@@ -106,31 +82,6 @@ def build_world(
     if len({s.key for s in specs}) != len(specs):
         raise ValueError("duplicate topic keys")
     start = time.perf_counter()
-    if use_columnar:
-        world: World = _build_columnar(specs, seed, with_comments)
-    else:
-        world = _build_eager(specs, seed, with_comments)
-    if observer is not None:
-        summary = world.summary()
-        tokens = (
-            world.corpus.vocabulary_size()
-            if isinstance(world, ColumnarWorld)
-            else _structural_vocabulary(specs, world)
-        )
-        observer.on_world_build(
-            videos=summary["videos"],
-            channels=summary["channels"],
-            threads=summary["threads"],
-            tokens=tokens,
-            wall_s=time.perf_counter() - start,
-            path="columnar" if use_columnar else "legacy",
-        )
-    return world
-
-
-def _build_columnar(
-    specs: tuple[TopicSpec, ...], seed: int, with_comments: bool
-) -> ColumnarWorld:
     bank = SeedBank(seed)
     topics: dict[str, TopicColumns] = {}
     for spec in specs:
@@ -144,77 +95,14 @@ def _build_columnar(
         topics[spec.key] = TopicColumns(
             spec=spec, channels=channel_cols, videos=video_cols, threads=thread_cols
         )
-    return ColumnarWorld(ColumnarCorpus(seed, topics))
-
-
-def _build_eager(
-    specs: tuple[TopicSpec, ...], seed: int, with_comments: bool
-) -> World:
-    bank = SeedBank(seed)
-    channels = {}
-    videos = {}
-    threads_by_video: dict[str, list] = {}
-
-    for spec in specs:
-        topic_rng = bank.generator(f"world/{spec.key}")
-        topic_channels = generate_channels(spec, seed, topic_rng)
-        for chan in topic_channels:
-            channels[chan.channel_id] = chan
-        topic_videos = _generate_videos(spec, topic_channels, seed, topic_rng)
-        for video in topic_videos:
-            videos[video.video_id] = video
-        if with_comments:
-            comment_rng = bank.generator(f"world/{spec.key}/comments")
-            threads_by_video.update(
-                generate_threads(spec, topic_videos, seed, comment_rng)
-            )
-
-    return World(
-        seed=seed,
-        channels=channels,
-        videos=videos,
-        threads_by_video=threads_by_video,
-        topic_names=tuple(s.key for s in specs),
-    )
-
-
-def _generate_videos(
-    spec: TopicSpec,
-    topic_channels: list,
-    seed: int,
-    rng: np.random.Generator,
-) -> list[Video]:
-    """Eagerly generate one topic's videos (the oracle assembly path)."""
-    subscribers = np.array([c.subscriber_count for c in topic_channels], dtype=np.int64)
-    cols = draw_video_columns(spec, subscribers, rng)
-    video_ids = ids.video_ids(seed, video_ordinal_base(spec), cols.n)
-    deleted = deletion_datetimes(cols)
-    return [
-        video_from_row(
-            spec,
-            cols,
-            i,
-            video_ids[i],
-            topic_channels[int(cols.channel_idx[i])].channel_id,
-            from_epoch_us(int(cols.publish_us[i])),
-            deleted[i],
+    world = ColumnarWorld(ColumnarCorpus(seed, topics))
+    if observer is not None:
+        summary = world.summary()
+        observer.on_world_build(
+            videos=summary["videos"],
+            channels=summary["channels"],
+            threads=summary["threads"],
+            tokens=world.corpus.vocabulary_size(),
+            wall_s=time.perf_counter() - start,
         )
-        for i in range(cols.n)
-    ]
-
-
-def _structural_vocabulary(specs: tuple[TopicSpec, ...], world: World) -> int:
-    """Exact vocabulary census for an eager world.
-
-    A full tokenize scan — fine on the oracle path, which is already
-    per-entity scalar work.  Matches both the legacy store's
-    ``len(token_index)`` and :meth:`ColumnarCorpus.vocabulary_size`, so the
-    ``world.build`` event reports a path-independent number.
-    """
-    from repro.world.store import tokenize
-
-    vocab: set[str] = set()
-    for video in world.videos.values():
-        text = " ".join((video.title, video.description, " ".join(video.tags)))
-        vocab.update(tokenize(text.lower()))
-    return len(vocab)
+    return world

@@ -11,32 +11,27 @@ The store is the only surface the API simulator reads from.  It provides:
 * channel uploads as playlists (for ``PlaylistItems:list``);
 * comment threads with deletion filtering.
 
-Two construction paths share one query surface:
-
-* **columnar** — when the world carries a
-  :class:`~repro.world.columnar.ColumnarCorpus` (the default builder),
-  every index is derived from the typed arrays: window queries run
-  ``np.searchsorted`` over one globally publish-sorted epoch array with
-  alive-at masks, uploads come from per-channel position arrays, and the
-  token index is synthesized from the per-combination token tables with
-  per-token lazy posting materialization.  Nothing per-entity happens at
-  construction time.
-* **legacy** — plain eager dict/list scans over the entity dataclasses,
-  kept as the behavior oracle (and still serving worlds built with
-  ``use_columnar=False``).
+Every index is derived from the world's
+:class:`~repro.world.columnar.ColumnarCorpus` typed arrays: window queries
+run ``np.searchsorted`` over one globally publish-sorted epoch array with
+alive-at masks, uploads come from per-channel position arrays, and the
+token index is synthesized from the per-combination token tables with
+per-token lazy posting materialization.  Nothing per-entity happens at
+construction time.  ``tests/test_world_columnar.py`` checks each index
+against a brute-force scan of the materialized world.
 """
 
 from __future__ import annotations
 
 import re
 import threading
-from bisect import bisect_left
 from datetime import datetime
 
 import numpy as np
 
 from repro.util.timeutil import to_epoch_us
-from repro.world.entities import Channel, Comment, CommentThread, Video, World
+from repro.world.columnar import ColumnarWorld
+from repro.world.entities import Channel, Comment, CommentThread, Video
 
 __all__ = ["PlatformStore", "tokenize"]
 
@@ -44,9 +39,6 @@ _TOKEN_RE = re.compile(r"[a-z0-9']+")
 
 #: Michaelis-Menten half-life (days) of the metric growth curve.
 _GROWTH_HALF_LIFE_DAYS = 21.0
-
-#: int64 sentinel for "never deleted" (mirrors columnar.NEVER_US).
-_NEVER_US = np.iinfo(np.int64).max
 
 
 def tokenize(text: str) -> list[str]:
@@ -67,80 +59,18 @@ def growth_factor(age_days: float) -> float:
 
 
 class PlatformStore:
-    """Read-side indexes over a :class:`~repro.world.entities.World`."""
+    """Read-side indexes over a :class:`~repro.world.columnar.ColumnarWorld`."""
 
-    def __init__(self, world: World) -> None:
+    def __init__(self, world: ColumnarWorld) -> None:
         self._world = world
         self._videos = world.videos
         self._channels = world.channels
         self._threads_by_video = world.threads_by_video
-        self.corpus = getattr(world, "corpus", None)
+        self.corpus = world.corpus
         self._lock = threading.RLock()
-
-        # Lazy caches shared by both paths (legacy fills them eagerly).
+        # Everything below materializes lazily on first use.
         self._search_text: dict[str, str] = {}
         self._token_sets: dict[str, frozenset[str]] = {}
-
-        if self.corpus is None:
-            self._init_legacy(world)
-        else:
-            self._init_columnar()
-
-    # -- construction ---------------------------------------------------------
-
-    def _init_legacy(self, world: World) -> None:
-        # Inverted index: token -> set of video ids.
-        self._token_index: dict[str, set[str]] = {}
-        # Per-channel uploads sorted by publish time (oldest first), plus
-        # parallel epoch arrays so the alive-at filter is one vector mask.
-        self._uploads: dict[str, list[Video]] = {}
-        self._upload_pub_us: dict[str, np.ndarray] = {}
-        self._upload_del_us: dict[str, np.ndarray] = {}
-        # Global list sorted by publish time for window slicing.
-        self._by_time: list[Video] = sorted(
-            world.videos.values(), key=lambda v: (v.published_at, v.video_id)
-        )
-        self._publish_times: list[datetime] = [v.published_at for v in self._by_time]
-        self._playlist_to_channel: dict[str, str] = {}
-        self._threads_by_id: dict[str, CommentThread] = {}
-        # Cached whole-corpus ID set for empty-token lookups: campaigns hit
-        # that path once per channel-only search, and copying the full
-        # corpus each time is pure waste (the corpus is immutable).
-        self._all_video_ids: frozenset[str] = frozenset(world.videos)
-
-        for video in self._by_time:
-            text = " ".join((video.title, video.description, " ".join(video.tags)))
-            lowered = text.lower()
-            tokens = frozenset(tokenize(lowered))
-            self._search_text[video.video_id] = lowered
-            self._token_sets[video.video_id] = tokens
-            for token in tokens:
-                self._token_index.setdefault(token, set()).add(video.video_id)
-            self._uploads.setdefault(video.channel_id, []).append(video)
-
-        for channel in world.channels.values():
-            self._playlist_to_channel[channel.uploads_playlist_id] = channel.channel_id
-            self._uploads.setdefault(channel.channel_id, [])
-
-        for channel_id, uploads in self._uploads.items():
-            self._upload_pub_us[channel_id] = np.array(
-                [to_epoch_us(v.published_at) for v in uploads], dtype=np.int64
-            )
-            self._upload_del_us[channel_id] = np.array(
-                [
-                    _NEVER_US if v.deleted_at is None else to_epoch_us(v.deleted_at)
-                    for v in uploads
-                ],
-                dtype=np.int64,
-            )
-
-        for threads in world.threads_by_video.values():
-            for thread in threads:
-                self._threads_by_id[thread.thread_id] = thread
-
-    def _init_columnar(self) -> None:
-        corpus = self.corpus
-        # Everything below materializes lazily on first use.
         self._posting_cache: dict[str, frozenset[str]] = {}
         self._all_ids_cache: frozenset[str] | None = None
         # Global time index: one publish-sorted epoch array over all topics.
@@ -148,7 +78,7 @@ class PlatformStore:
         self._tm_del: np.ndarray | None = None
         self._tm_topic: np.ndarray | None = None
         self._tm_row: np.ndarray | None = None
-        self._topic_keys: tuple[str, ...] = tuple(corpus.topics)
+        self._topic_keys: tuple[str, ...] = tuple(self.corpus.topics)
         # Per-channel upload positions into the time index.
         self._upload_positions: np.ndarray | None = None
         self._upload_bounds: np.ndarray | None = None
@@ -157,7 +87,7 @@ class PlatformStore:
     # -- basic lookups ------------------------------------------------------
 
     @property
-    def world(self) -> World:
+    def world(self) -> ColumnarWorld:
         """The underlying world (ground truth for strategy evaluation)."""
         return self._world
 
@@ -171,20 +101,15 @@ class PlatformStore:
 
     def channel_for_playlist(self, playlist_id: str) -> Channel | None:
         """Resolve an uploads playlist ID back to its channel."""
-        if self.corpus is not None:
-            # Uploads playlists share the channel ID suffix (UU... -> UC...),
-            # so the resolution is arithmetic — no mapping to build.
-            if not (isinstance(playlist_id, str) and playlist_id.startswith("UU")):
-                return None
-            return self._channels.get("UC" + playlist_id[2:])
-        channel_id = self._playlist_to_channel.get(playlist_id)
-        return self._channels.get(channel_id) if channel_id else None
+        # Uploads playlists share the channel ID suffix (UU... -> UC...),
+        # so the resolution is arithmetic — no mapping to build.
+        if not (isinstance(playlist_id, str) and playlist_id.startswith("UU")):
+            return None
+        return self._channels.get("UC" + playlist_id[2:])
 
     def thread(self, thread_id: str) -> CommentThread | None:
         """Comment thread by ID, or None."""
-        if self.corpus is not None:
-            return self.corpus.thread(thread_id)
-        return self._threads_by_id.get(thread_id)
+        return self.corpus.thread(thread_id)
 
     # -- search-side queries -------------------------------------------------
 
@@ -212,8 +137,6 @@ class PlatformStore:
         return result
 
     def _all_ids(self) -> frozenset[str]:
-        if self.corpus is None:
-            return self._all_video_ids
         got = self._all_ids_cache
         if got is None:
             with self._lock:
@@ -227,9 +150,7 @@ class PlatformStore:
         return got
 
     def _posting(self, token: str):
-        """The posting set of one token (lazy per-token on the columnar path)."""
-        if self.corpus is None:
-            return self._token_index.get(token)
+        """The posting set of one token (materialized lazily, per token)."""
         got = self._posting_cache.get(token)
         if got is None:
             with self._lock:
@@ -255,8 +176,6 @@ class PlatformStore:
         """The lowercased searchable text of a video (title+description+tags)."""
         got = self._search_text.get(video_id)
         if got is None:
-            if self.corpus is None:
-                raise KeyError(video_id)
             got = self._materialize_text(video_id)[0]
         return got
 
@@ -264,8 +183,6 @@ class PlatformStore:
         """The token set of a video's searchable text."""
         got = self._token_sets.get(video_id)
         if got is None:
-            if self.corpus is None:
-                raise KeyError(video_id)
             got = self._materialize_text(video_id)[1]
         return got
 
@@ -291,26 +208,9 @@ class PlatformStore:
 
         The interval is half-open, exactly as the parameter names promise:
         a video published at the ``published_before`` instant is excluded
-        (this matches the sampling engine's window arithmetic).
+        (this matches the sampling engine's window arithmetic).  Videos
+        come in ``(published_at, video_id)`` order.
         """
-        if self.corpus is not None:
-            return self._videos_in_window_columnar(
-                published_after, published_before, as_of
-            )
-        lo = 0
-        hi = len(self._by_time)
-        if published_after is not None:
-            lo = bisect_left(self._publish_times, published_after)
-        if published_before is not None:
-            hi = bisect_left(self._publish_times, published_before)
-        return [v for v in self._by_time[lo:hi] if v.alive_at(as_of)]
-
-    def _videos_in_window_columnar(
-        self,
-        published_after: datetime | None,
-        published_before: datetime | None,
-        as_of: datetime,
-    ) -> list[Video]:
         self._ensure_time_index()
         lo = 0
         hi = self._tm_pub.shape[0]
@@ -353,8 +253,8 @@ class PlatformStore:
             all_ids = (
                 np.concatenate(id_chunks) if id_chunks else np.empty(0, dtype="U11")
             )
-            # Publish-sorted with video-ID tie break: the same global order
-            # the legacy store's ``(published_at, video_id)`` sort produces.
+            # Publish-sorted with a video-ID tie break: the global
+            # ``(published_at, video_id)`` order.
             order = np.lexsort((all_ids, all_pub))
             self._tm_del = np.concatenate(dels)[order] if dels else np.empty(0, np.int64)
             self._tm_topic = (
@@ -375,17 +275,6 @@ class PlatformStore:
         full upload list.
         """
         as_us = to_epoch_us(as_of)
-        if self.corpus is not None:
-            return self._uploads_columnar(channel_id, as_us)
-        uploads = self._uploads.get(channel_id)
-        if not uploads:
-            return []
-        pub = self._upload_pub_us[channel_id]
-        alive = (pub <= as_us) & (self._upload_del_us[channel_id] > as_us)
-        # Stored oldest-first; playlists list newest first.
-        return [uploads[int(i)] for i in np.flatnonzero(alive)[::-1]]
-
-    def _uploads_columnar(self, channel_id: str, as_us: int) -> list[Video]:
         loc = self.corpus.channel_locator().get(channel_id)
         if loc is None:
             return []
@@ -397,6 +286,7 @@ class PlatformStore:
             return []
         positions = self._upload_positions[lo:hi]
         alive = (self._tm_pub[positions] <= as_us) & (self._tm_del[positions] > as_us)
+        # Stored oldest-first; playlists list newest first.
         return [self._video_at(int(p)) for p in positions[alive][::-1]]
 
     def _ensure_uploads_index(self) -> None:
@@ -479,16 +369,9 @@ class PlatformStore:
 
     def summary(self) -> dict[str, int]:
         """Index sizes, for logging."""
-        if self.corpus is not None:
-            return {
-                "videos": self.corpus.n_videos,
-                "channels": self.corpus.n_channels,
-                "tokens": self.corpus.vocabulary_size(),
-                "threads": self.corpus.n_threads,
-            }
         return {
-            "videos": len(self._videos),
-            "channels": len(self._channels),
-            "tokens": len(self._token_index),
-            "threads": len(self._threads_by_id),
+            "videos": self.corpus.n_videos,
+            "channels": self.corpus.n_channels,
+            "tokens": self.corpus.vocabulary_size(),
+            "threads": self.corpus.n_threads,
         }

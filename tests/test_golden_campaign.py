@@ -6,10 +6,9 @@ as JSONL.  The tests here run that exact campaign on the default batch
 engine and on the per-call engine (``engine="per-call"``, the reference
 path faults, resume, and ``tolerate_failures`` run on) and assert both
 produce files matching the golden hash, size, and quota spend — the
-determinism contract the whole repository rests on.  Both engines are
-re-run over a world built with ``use_columnar=False`` (the eager oracle
-assembly path), pinning the columnar and legacy builders to the same
-bytes.
+determinism contract the whole repository rests on.  The world under
+the campaign is pinned separately, entity by entity, by
+``tests/test_world_columnar.py``'s recorded digests.
 
 Regeneration recipe (only when the *simulator's data model* legitimately
 changes — never to paper over an engine divergence)::
@@ -81,12 +80,6 @@ def golden_world(golden_specs):
     return build_world(golden_specs, seed=GOLDEN["seed"])
 
 
-@pytest.fixture(scope="module")
-def legacy_world(golden_specs):
-    """The eager oracle builder: must reproduce the same pinned bytes."""
-    return build_world(golden_specs, seed=GOLDEN["seed"], use_columnar=False)
-
-
 def _run(golden_world, golden_specs, tmp_path, name, **campaign_kwargs):
     """Run the golden campaign on one engine; return (bytes, units)."""
     service = build_service(
@@ -124,19 +117,6 @@ class TestGoldenCampaign:
     ):
         _assert_golden(*_run(
             golden_world, golden_specs, tmp_path, "per-call",
-            engine="per-call",
-        ))
-
-    def test_legacy_world_serial_matches_golden_sha256(
-        self, legacy_world, golden_specs, tmp_path
-    ):
-        _assert_golden(*_run(legacy_world, golden_specs, tmp_path, "legacy"))
-
-    def test_legacy_world_per_call_engine_matches_golden_sha256(
-        self, legacy_world, golden_specs, tmp_path
-    ):
-        _assert_golden(*_run(
-            legacy_world, golden_specs, tmp_path, "legacy-per-call",
             engine="per-call",
         ))
 

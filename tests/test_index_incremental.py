@@ -6,12 +6,14 @@ the interned video tables, the presence/hour-bin matrices, the
 ``extra_hours`` overflow, the pool draws — and therefore value-``==``
 answers from every analysis.  These tests pin that contract on
 hand-built degraded and multi-bin campaigns and on seeded random
-campaigns, plus: error-message parity with the batch oracles,
-validation that rejects out-of-order or topic-incomplete snapshots
-*before* mutating state, metadata/regression parity on the shared
-simulated campaign, the ``campaign_index`` prefix-extension cache, the
-``CampaignStream(build_index=True)`` wiring, and the ``index.append``
-observability events.
+campaigns, whose answers at every prefix are also the recorded values
+in ``tests/golden/analysis_outputs.json`` (see
+``tests/test_index_equivalence.py``), plus: error messages, validation
+that rejects out-of-order or topic-incomplete snapshots *before*
+mutating state, metadata/regression parity on the shared simulated
+campaign, the ``campaign_index`` prefix-extension cache, the index a
+``CampaignStream`` drives, and the ``index.append`` observability
+events.
 """
 
 from __future__ import annotations
@@ -21,14 +23,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.attrition import attrition_analysis, presence_sequences
-from repro.core.consistency import (
-    consistency_series,
-    gap_aware_consistency_series,
-)
 from repro.core.datasets import CampaignResult
 from repro.core.index import CampaignIndex, campaign_index
-from repro.core.pools import pool_stats
 from repro.core.returnmodel import build_regression_records
 from repro.core.streaming import CampaignStream
 
@@ -36,6 +32,9 @@ from tests.test_index_equivalence import (
     _campaign_of,
     _degraded_campaign,
     _multibin_campaign,
+    answers,
+    assert_golden,
+    prefix,
 )
 
 
@@ -93,63 +92,27 @@ def _assert_structural(grown: CampaignIndex, built: CampaignIndex) -> None:
         assert a.pool_draws == b.pool_draws, key
 
 
-def _assert_analysis_parity(
-    grown: CampaignIndex, prefix: CampaignResult
-) -> None:
-    """Every analysis answer ``==`` the legacy oracle on the prefix."""
-    for key in prefix.topic_keys:
-        if len(prefix.snapshots) >= 2:
-            assert grown.consistency(key) == consistency_series(
-                prefix, key, use_index=False
-            )
-            assert grown.gap_aware_consistency(key) == (
-                gap_aware_consistency_series(prefix, key, use_index=False)
-            )
-        assert grown.pool_stats(key) == pool_stats(
-            prefix, key, use_index=False
-        )
-    for skip in (False, True):
-        assert grown.presence_sequences(skip_degraded=skip) == (
-            presence_sequences(prefix, skip_degraded=skip, use_index=False)
-        )
-        try:
-            batch = attrition_analysis(
-                prefix, skip_degraded=skip, use_index=False
-            )
-        except ValueError as exc:
-            with pytest.raises(ValueError) as info:
-                grown.attrition(skip_degraded=skip)
-            assert str(info.value) == str(exc)
-        else:
-            fast = grown.attrition(skip_degraded=skip)
-            assert fast.chain == batch.chain
-            assert fast.n_sequences == batch.n_sequences
-
-
-def _grow_and_check(campaign: CampaignResult) -> CampaignIndex:
-    """Append snapshot-by-snapshot; check both parities at every prefix."""
+def _grow_and_check(name: str, campaign: CampaignResult) -> CampaignIndex:
+    """Append snapshot-by-snapshot; at every prefix the grown index must
+    match a one-shot build structurally and the recorded answers."""
     grown = CampaignIndex.incremental(campaign.topic_keys)
     for t, snap in enumerate(campaign.snapshots):
         grown.append_snapshot(snap)
-        prefix = CampaignResult(
-            topic_keys=campaign.topic_keys,
-            snapshots=list(campaign.snapshots[: t + 1]),
-        )
-        _assert_structural(grown, CampaignIndex.build(prefix))
-        _assert_analysis_parity(grown, prefix)
+        _assert_structural(grown, CampaignIndex.build(prefix(campaign, t + 1)))
+        assert_golden(f"{name}/{t + 1}", answers(grown))
     return grown
 
 
 class TestPrefixParity:
     def test_degraded_campaign_every_prefix(self):
-        _grow_and_check(_degraded_campaign())
+        _grow_and_check("degraded", _degraded_campaign())
 
     def test_multibin_campaign_every_prefix(self):
-        _grow_and_check(_multibin_campaign())
+        _grow_and_check("multibin", _multibin_campaign())
 
     @pytest.mark.parametrize("seed", range(12))
     def test_seeded_random_campaigns(self, seed):
-        _grow_and_check(_random_campaign(seed))
+        _grow_and_check(f"incremental-{seed}", _random_campaign(seed))
 
     def test_reads_between_appends_do_not_stale(self):
         """Memoized analyses read mid-growth must invalidate on append."""
@@ -163,24 +126,20 @@ class TestPrefixParity:
                 grown.jaccard_matrix("beta")
                 grown.attrition()
         # ...and the final answers still match a fresh rebuild.
-        _assert_analysis_parity(grown, campaign)
+        assert answers(grown) == answers(CampaignIndex.build(campaign))
+        assert_golden("degraded/5", answers(grown))
 
     def test_error_message_parity_before_two_collections(self):
         campaign = _degraded_campaign()
         grown = CampaignIndex.incremental(campaign.topic_keys)
         grown.append_snapshot(campaign.snapshots[0])
-        with pytest.raises(ValueError) as oracle:
-            consistency_series(
-                CampaignResult(
-                    topic_keys=campaign.topic_keys,
-                    snapshots=campaign.snapshots[:1],
-                ),
-                "alpha",
-                use_index=False,
-            )
+        with pytest.raises(ValueError) as built:
+            CampaignIndex.build(prefix(campaign, 1)).consistency("alpha")
         with pytest.raises(ValueError) as fast:
             grown.consistency("alpha")
-        assert str(fast.value) == str(oracle.value)
+        assert str(fast.value) == str(built.value) == (
+            "consistency analysis needs at least two collections"
+        )
 
 
 class TestAppendValidation:
@@ -239,16 +198,18 @@ class TestSimulatedCampaignParity:
             grown.append_snapshot(snap)
         _assert_structural(grown, CampaignIndex.build(mini_campaign))
         assert grown.regression_records() == build_regression_records(
-            mini_campaign, use_index=False
+            mini_campaign
         )
 
     def test_consistency_parity_on_simulated(self, mini_campaign):
         grown = CampaignIndex.incremental(mini_campaign.topic_keys)
         for snap in mini_campaign.snapshots:
             grown.append_snapshot(snap)
+        built = CampaignIndex.build(mini_campaign)
         for key in mini_campaign.topic_keys:
-            assert grown.consistency(key) == consistency_series(
-                mini_campaign, key, use_index=False
+            assert grown.consistency(key) == built.consistency(key)
+            assert grown.gap_aware_consistency(key) == (
+                built.gap_aware_consistency(key)
             )
 
 
@@ -270,20 +231,13 @@ class TestCampaignIndexCacheExtension:
 class TestStreamIndexWiring:
     def test_stream_grows_structurally_identical_index(self):
         campaign = _degraded_campaign()
-        stream = CampaignStream(campaign.topic_keys, build_index=True)
-        assert stream.index is None  # lazy until the first snapshot
+        stream = CampaignStream(campaign.topic_keys)
+        assert stream.index is None  # created at the first snapshot
         for snap in campaign.snapshots:
             stream.add_snapshot(snap)
         _assert_structural(stream.index, CampaignIndex.build(campaign))
         for key in campaign.topic_keys:
             assert stream.index.consistency(key) == stream.consistency(key)
-
-    def test_stream_without_flag_has_no_index(self):
-        campaign = _degraded_campaign()
-        stream = CampaignStream(campaign.topic_keys)
-        for snap in campaign.snapshots:
-            stream.add_snapshot(snap)
-        assert stream.index is None
 
     def test_stream_rejects_topic_incomplete_snapshot(self):
         import dataclasses

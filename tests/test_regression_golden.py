@@ -9,18 +9,27 @@ the L-BFGS-B fitter that preceded the Newton fitter in
 log-likelihood no lower than the pinned one (up to 1e-9 relative): a
 fitter may only move a printed digit by finding a better optimum.
 
+``tests/golden/analyze_all.json`` holds, for the same two campaigns,
+everything ``repro analyze --all`` prints for the saved campaign: Tables
+1, 2, 4 and 5, Figures 1-4 and the three regressions.  The text is
+stored in full and compared block by block, so a failure names the
+table or figure that moved.
+
 Campaigns: the conftest ``mini_campaign`` (seed 20250209, scale 0.15,
 10 collections) and one at seed 1001 (scale 0.1, 8 collections).
 
-Regeneration (only when the simulator's data model legitimately changes,
-never to absorb a fitter's drift)::
+Regeneration of both files (only when the simulator's data model
+legitimately changes, never to absorb a fitter's or an analysis's
+drift)::
 
     PYTHONPATH=src python tests/test_regression_golden.py
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 from pathlib import Path
 
@@ -39,6 +48,7 @@ from repro.world.corpus import scale_topics
 from repro.world.topics import paper_topics
 
 GOLDEN = Path(__file__).parent / "golden" / "regression_tables.json"
+ANALYZE_GOLDEN = Path(__file__).parent / "golden" / "analyze_all.json"
 
 # name -> (seed, scale, collections); "20250209" is conftest's mini_campaign.
 CAMPAIGNS = {"20250209": (20250209, 0.15, 10), "1001": (1001, 0.1, 8)}
@@ -76,17 +86,37 @@ def pin(campaign) -> dict:
     }
 
 
+def analyze_all(campaign, directory: Path) -> str:
+    """The stdout of ``repro analyze --all`` on the saved campaign."""
+    from repro.cli import main
+
+    path = Path(directory) / "campaign.jsonl"
+    campaign.save(path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", str(path), "--all"]) == 0
+    return out.getvalue()
+
+
 @pytest.fixture(scope="module")
-def pinned(request) -> dict:
+def campaigns(request) -> dict:
+    return {
+        name: (
+            request.getfixturevalue("mini_campaign")
+            if name == "20250209"
+            else build_campaign(*recipe)
+        )
+        for name, recipe in CAMPAIGNS.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def pinned(campaigns) -> dict:
     golden = json.loads(GOLDEN.read_text())
     fitted = {}
-    for name, (seed, scale, collections) in CAMPAIGNS.items():
-        assert golden[name]["campaign"] == [seed, scale, collections]
-        if name == "20250209":
-            campaign = request.getfixturevalue("mini_campaign")
-        else:
-            campaign = build_campaign(seed, scale, collections)
-        fitted[name] = pin(campaign)
+    for name, recipe in CAMPAIGNS.items():
+        assert golden[name]["campaign"] == list(recipe)
+        fitted[name] = pin(campaigns[name])
     return {"golden": golden, "fitted": fitted}
 
 
@@ -105,9 +135,25 @@ def test_log_likelihood_no_worse(pinned, campaign, table):
     assert new >= old - 1e-9 * abs(old), (new, old)
 
 
+@pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
+def test_analyze_all_output_unchanged(campaigns, campaign, tmp_path):
+    golden = json.loads(ANALYZE_GOLDEN.read_text())[campaign]
+    assert golden["campaign"] == list(CAMPAIGNS[campaign])
+    printed = analyze_all(campaigns[campaign], tmp_path)
+    assert printed.split("\n\n") == golden["stdout"].split("\n\n")
+
+
 if __name__ == "__main__":
+    import tempfile
+
+    built = {name: build_campaign(*recipe) for name, recipe in CAMPAIGNS.items()}
     GOLDEN.write_text(json.dumps({
-        name: {"campaign": [seed, scale, collections],
-               **pin(build_campaign(seed, scale, collections))}
-        for name, (seed, scale, collections) in CAMPAIGNS.items()
+        name: {"campaign": list(CAMPAIGNS[name]), **pin(campaign)}
+        for name, campaign in built.items()
     }, indent=2) + "\n")
+    with tempfile.TemporaryDirectory() as directory:
+        ANALYZE_GOLDEN.write_text(json.dumps({
+            name: {"campaign": list(CAMPAIGNS[name]),
+                   "stdout": analyze_all(campaign, directory)}
+            for name, campaign in built.items()
+        }, indent=2) + "\n")

@@ -17,11 +17,11 @@ from repro.core.collector import SnapshotCollector
 from repro.core.consistency import (
     consistency_series,
     gap_aware_consistency_series,
-    gap_aware_jaccard,
     jaccard,
 )
 from repro.core.datasets import CampaignResult, Snapshot, TopicSnapshot
 from repro.core.experiments import paper_campaign_config
+from repro.core.index import campaign_index
 from repro.obs import CampaignObserver
 from repro.resilience import (
     FaultPlan,
@@ -242,22 +242,27 @@ def _campaign(topic_snaps: list[TopicSnapshot]) -> CampaignResult:
     return CampaignResult(topic_keys=("t",), snapshots=snapshots)
 
 
+def _gap_jaccard(a: TopicSnapshot, b: TopicSnapshot) -> float:
+    """Gap-aware Jaccard of two topic snapshots (collections 0 and 1)."""
+    return campaign_index(_campaign([a, b])).gap_jaccard("t", 0, 1)
+
+
 class TestGapAwareConsistency:
     def test_reduces_to_jaccard_when_complete(self):
         a = _topic_snapshot({0: ["x", "y"], 1: ["z"]})
         b = _topic_snapshot({0: ["x"], 1: ["z", "w"]})
-        assert gap_aware_jaccard(a, b) == jaccard(a.video_ids, b.video_ids)
+        assert _gap_jaccard(a, b) == jaccard(a.video_ids, b.video_ids)
 
     def test_missing_bins_do_not_count_as_churn(self):
         complete = _topic_snapshot({0: ["x"], 1: ["y"]})
         degraded = _topic_snapshot({0: ["x"]}, missing=[1])
         assert jaccard(complete.video_ids, degraded.video_ids) == 0.5
-        assert gap_aware_jaccard(complete, degraded) == 1.0
+        assert _gap_jaccard(complete, degraded) == 1.0
 
     def test_exclusion_is_the_union_of_both_sides(self):
         a = _topic_snapshot({0: ["x"], 2: ["q"]}, missing=[1])
         b = _topic_snapshot({0: ["x"], 1: ["y"]}, missing=[2])
-        assert gap_aware_jaccard(a, b) == 1.0  # only hour 0 is mutual
+        assert _gap_jaccard(a, b) == 1.0  # only hour 0 is mutual
 
     def test_series_matches_plain_series_on_complete_campaign(self):
         campaign = _campaign([

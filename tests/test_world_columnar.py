@@ -1,16 +1,28 @@
-"""Columnar world builder: equivalence with the eager oracle, lazy-cache
-identity, stream-exact deletion parsing, store/engine parity, and the
-``world.build`` observability event.
+"""Columnar world builder: recorded world digests, lazy-cache identity,
+stream-exact deletion parsing, the store and the sampling engine's arrays
+against brute-force references, and the ``world.build`` observability
+event.
 
-The columnar and eager paths share every draw function, so their RNG
-streams agree by construction; these tests lock the *assembly* layers —
-lazy mappings, the dual-path :class:`~repro.world.store.PlatformStore`,
-and the sampling engine's runtime arrays — to the scalar oracle.
+``tests/golden/world_digests.json`` pins, for each (seed, scale,
+with_comments) built here, the sha256 of the canonical JSON of every
+video, channel and comment thread the world materializes, of each
+topic's ``videos_for_topic`` order, and the world's census.  The digests
+were recorded from both the columnar builder and the eager scalar
+builder that preceded it, and the two agreed on every one.
+
+Regeneration (only when the simulator's data model legitimately
+changes)::
+
+    PYTHONPATH=src python -m tests.test_world_columnar
 """
 
 from __future__ import annotations
 
-from datetime import timedelta
+import dataclasses
+import hashlib
+import json
+from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +32,7 @@ from repro.api.errors import NotFoundError
 from repro.obs import CampaignObserver
 from repro.sampling.engine import BehaviorParams, _TopicRuntime
 from repro.util.rng import SeedBank
+from repro.util.timeutil import hour_index
 from repro.world.columnar import (
     DELETE_DURING_CAMPAIGN,
     DELETION_FRACTION,
@@ -27,11 +40,76 @@ from repro.world.columnar import (
     _draw_deletion_columns,
 )
 from repro.world.corpus import build_world, scale_topic, scale_topics
-from repro.world.store import PlatformStore
+from repro.world.entities import CommentThread, World
+from repro.world.store import PlatformStore, tokenize
 from repro.world.topics import PAPER_TOPICS, paper_topics
 
 SEED = 20250209
 SCALE = 0.05
+
+GOLDEN = Path(__file__).parent / "golden" / "world_digests.json"
+
+#: name -> (seed, scale, with_comments) of every recorded world.
+WORLDS = {
+    "20250209-0.05": (SEED, SCALE, True),
+    "7-0.02": (7, 0.02, True),
+    "99-0.03": (99, 0.03, True),
+    "3-0.02-no-comments": (3, 0.02, False),
+}
+
+
+def _json_default(value):
+    if isinstance(value, datetime):
+        return value.isoformat()
+    raise TypeError(f"not JSON serializable: {type(value).__name__}")
+
+
+def _sha256(items) -> str:
+    """sha256 over the canonical JSON of each item, one per line."""
+    digest = hashlib.sha256()
+    for item in items:
+        text = json.dumps(item, sort_keys=True, default=_json_default)
+        digest.update(text.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def world_digest(world: World) -> dict:
+    """Every materialized entity of a world, digested (see the module
+    docstring); videos and channels in iteration order."""
+    return {
+        "videos": _sha256(
+            [vid, dataclasses.asdict(video)] for vid, video in world.videos.items()
+        ),
+        "channels": _sha256(
+            [cid, dataclasses.asdict(channel)]
+            for cid, channel in world.channels.items()
+        ),
+        "threads": _sha256(
+            [vid, [dataclasses.asdict(thread) for thread in threads]]
+            for vid, threads in sorted(world.threads_by_video.items())
+        ),
+        "topic_order": _sha256(
+            [key, [v.video_id for v in world.videos_for_topic(key)]]
+            for key in world.topic_names
+        ),
+        "summary": world.summary(),
+    }
+
+
+def _build(name: str) -> World:
+    seed, scale, with_comments = WORLDS[name]
+    return build_world(
+        scale_topics(paper_topics(), scale), seed=seed, with_comments=with_comments
+    )
+
+
+def _recorded(name: str) -> dict:
+    return json.loads(GOLDEN.read_text())[name]
+
+
+def _text(video) -> str:
+    """A video's searchable text, lowercased (title, description, tags)."""
+    return " ".join((video.title, video.description, " ".join(video.tags))).lower()
 
 
 @pytest.fixture(scope="module")
@@ -45,55 +123,43 @@ def columnar_world(specs):
 
 
 @pytest.fixture(scope="module")
-def eager_world(specs):
-    return build_world(specs, seed=SEED, use_columnar=False)
-
-
-@pytest.fixture(scope="module")
 def columnar_store(columnar_world):
     return PlatformStore(columnar_world)
 
 
 @pytest.fixture(scope="module")
-def eager_store(eager_world):
-    return PlatformStore(eager_world)
+def token_sets(columnar_world):
+    """Brute-force token set of every video."""
+    return {
+        vid: frozenset(tokenize(_text(video)))
+        for vid, video in columnar_world.videos.items()
+    }
 
 
 class TestWorldEquivalence:
-    def test_worlds_identical(self, columnar_world, eager_world):
+    def test_worlds_identical(self, columnar_world):
         assert isinstance(columnar_world, ColumnarWorld)
-        assert list(columnar_world.videos) == list(eager_world.videos)
-        assert list(columnar_world.channels) == list(eager_world.channels)
-        assert dict(columnar_world.videos) == dict(eager_world.videos)
-        assert dict(columnar_world.channels) == dict(eager_world.channels)
-        assert dict(columnar_world.threads_by_video) == dict(
-            eager_world.threads_by_video
-        )
-        assert columnar_world.summary() == eager_world.summary()
+        assert world_digest(columnar_world) == _recorded("20250209-0.05")
 
-    def test_videos_for_topic_order(self, columnar_world, eager_world, specs):
+    def test_videos_for_topic_order(self, columnar_world, specs):
+        # The base class's definition: a full scan sorted by (publish
+        # time, video id).
         for spec in specs:
             assert columnar_world.videos_for_topic(spec.key) == (
-                eager_world.videos_for_topic(spec.key)
+                World.videos_for_topic(columnar_world, spec.key)
             )
         assert columnar_world.videos_for_topic("no-such-topic") == []
 
     @pytest.mark.parametrize("seed,scale", [(7, 0.02), (99, 0.03)])
     def test_other_seeds_and_scales(self, seed, scale):
-        specs = scale_topics(paper_topics(), scale)
-        fast = build_world(specs, seed=seed)
-        slow = build_world(specs, seed=seed, use_columnar=False)
-        assert dict(fast.videos) == dict(slow.videos)
-        assert dict(fast.channels) == dict(slow.channels)
-        assert dict(fast.threads_by_video) == dict(slow.threads_by_video)
+        name = f"{seed}-{scale}"
+        assert WORLDS[name] == (seed, scale, True)
+        assert world_digest(_build(name)) == _recorded(name)
 
     def test_without_comments(self):
-        specs = scale_topics(paper_topics(), 0.02)
-        fast = build_world(specs, seed=3, with_comments=False)
-        slow = build_world(specs, seed=3, with_comments=False,
-                           use_columnar=False)
-        assert dict(fast.videos) == dict(slow.videos)
-        assert dict(fast.threads_by_video) == {} == dict(slow.threads_by_video)
+        world = _build("3-0.02-no-comments")
+        assert dict(world.threads_by_video) == {}
+        assert world_digest(world) == _recorded("3-0.02-no-comments")
 
 
 class TestLazyCacheIdentity:
@@ -198,33 +264,66 @@ class TestDeletionParser:
 
 
 class TestStoreEquivalence:
-    def test_summary(self, columnar_store, eager_store):
-        assert columnar_store.summary() == eager_store.summary()
+    """The store's indexes against brute-force scans of the world."""
 
-    def test_token_postings(self, columnar_store, eager_store, specs):
+    def test_summary(self, columnar_store, columnar_world, token_sets):
+        assert columnar_store.summary() == {
+            "videos": len(columnar_world.videos),
+            "channels": len(columnar_world.channels),
+            "tokens": len(frozenset().union(*token_sets.values())),
+            "threads": sum(
+                len(threads)
+                for threads in columnar_world.threads_by_video.values()
+            ),
+        }
+
+    def test_token_postings(self, columnar_store, columnar_world, token_sets, specs):
+        def reference(tokens):
+            return {
+                vid for vid, toks in token_sets.items()
+                if all(token in toks for token in tokens)
+            }
+
         probes = ["higgs", "boson", "brexit", "official", "highlights",
                   "breaking", "5", "17", "nope-token", ""]
         for token in probes:
             assert columnar_store.candidates_for_tokens([token]) == (
-                eager_store.candidates_for_tokens([token])
+                reference([token])
             ), token
+        assert reference(["5"]) and reference(["17"])
         for spec in specs:
             tokens = spec.query.split()
             assert columnar_store.candidates_for_tokens(tokens) == (
-                eager_store.candidates_for_tokens(tokens)
+                reference(tokens)
             )
         assert columnar_store.candidates_for_tokens([]) == (
-            eager_store.candidates_for_tokens([])
+            set(columnar_world.videos)
         )
 
-    def test_search_text_and_token_set(self, columnar_store, eager_store):
-        for vid in list(eager_store.world.videos)[::37]:
-            assert columnar_store.search_text(vid) == eager_store.search_text(vid)
-            assert columnar_store.token_set(vid) == eager_store.token_set(vid)
+    def test_search_text_and_token_set(self, columnar_store, columnar_world):
+        for vid in list(columnar_world.videos)[::37]:
+            video = columnar_world.videos[vid]
+            assert columnar_store.search_text(vid) == _text(video)
+            assert columnar_store.token_set(vid) == frozenset(
+                tokenize(_text(video))
+            )
         with pytest.raises(KeyError):
             columnar_store.search_text("missing-vid")
 
-    def test_windows(self, columnar_store, eager_store, specs):
+    def test_windows(self, columnar_store, columnar_world, specs):
+        by_time = sorted(
+            columnar_world.videos.values(),
+            key=lambda v: (v.published_at, v.video_id),
+        )
+
+        def reference(after, before, as_of):
+            return [
+                v for v in by_time
+                if (after is None or v.published_at >= after)
+                and (before is None or v.published_at < before)
+                and v.alive_at(as_of)
+            ]
+
         for spec in specs[:3]:
             mid = spec.focal_date
             as_of = spec.window_end + timedelta(days=40)
@@ -235,82 +334,108 @@ class TestStoreEquivalence:
                 (None, None),
                 (mid, mid),
             ]:
-                fast = columnar_store.videos_in_window(after, before, as_of)
-                slow = eager_store.videos_in_window(after, before, as_of)
-                assert fast == slow
+                assert columnar_store.videos_in_window(after, before, as_of) == (
+                    reference(after, before, as_of)
+                )
 
-    def test_window_boundary_is_half_open(
-        self, columnar_store, eager_store, specs
-    ):
+    def test_window_boundary_is_half_open(self, columnar_store, specs):
         # A video published exactly at ``published_before`` is excluded;
         # one published exactly at ``published_after`` is included.
-        video = eager_store.world.videos_for_topic(specs[0].key)[5]
+        video = columnar_store.world.videos_for_topic(specs[0].key)[5]
         t = video.published_at
         as_of = specs[0].window_end + timedelta(days=40)
-        for store in (columnar_store, eager_store):
-            upper = store.videos_in_window(specs[0].window_start, t, as_of)
-            assert video.video_id not in {v.video_id for v in upper}
-            lower = store.videos_in_window(t, None, as_of)
-            assert video.video_id in {v.video_id for v in lower}
+        upper = columnar_store.videos_in_window(specs[0].window_start, t, as_of)
+        assert video.video_id not in {v.video_id for v in upper}
+        lower = columnar_store.videos_in_window(t, None, as_of)
+        assert video.video_id in {v.video_id for v in lower}
 
-    def test_uploads_all_channels(self, columnar_store, eager_store, specs):
+    @staticmethod
+    def _uploads_by_channel(world) -> dict[str, list]:
+        """Every channel's uploads, oldest first."""
+        by_channel: dict[str, list] = {}
+        for v in world.videos.values():
+            by_channel.setdefault(v.channel_id, []).append(v)
+        for uploads in by_channel.values():
+            uploads.sort(key=lambda v: (v.published_at, v.video_id))
+        return by_channel
+
+    def test_uploads_all_channels(self, columnar_store, columnar_world, specs):
         as_of = max(s.window_end for s in specs) + timedelta(days=100)
         early = min(s.window_start for s in specs) + timedelta(days=3)
-        for cid in eager_store.world.channels:
+        by_channel = self._uploads_by_channel(columnar_world)
+        for cid in columnar_world.channels:
             for when in (as_of, early):
-                fast = columnar_store.uploads(cid, when)
-                slow = eager_store.uploads(cid, when)
-                assert fast == slow, cid
+                reference = [
+                    v for v in reversed(by_channel.get(cid, []))
+                    if v.alive_at(when)
+                ]
+                assert columnar_store.uploads(cid, when) == reference, cid
         assert columnar_store.uploads("UCmissing", as_of) == []
 
     def test_uploads_matches_refilter_reference(
-        self, columnar_store, eager_store, specs
+        self, columnar_store, columnar_world, specs
     ):
         # The pre-optimization implementation: filter the whole upload
         # list per call, newest first.
         as_of = specs[0].focal_date + timedelta(days=400)
-        by_channel: dict[str, list] = {}
-        for v in eager_store.world.videos.values():
-            by_channel.setdefault(v.channel_id, []).append(v)
+        by_channel = self._uploads_by_channel(columnar_world)
         for cid, uploads in list(by_channel.items())[::17]:
-            uploads.sort(key=lambda v: (v.published_at, v.video_id))
             reference = [
                 v for v in reversed(uploads)
                 if v.published_at <= as_of and v.alive_at(as_of)
             ]
             assert columnar_store.uploads(cid, as_of) == reference
-            assert eager_store.uploads(cid, as_of) == reference
 
-    def test_threads_and_replies(self, columnar_store, eager_store, specs):
+    def test_threads_and_replies(self, columnar_store, columnar_world, specs):
         as_of = max(s.window_end for s in specs) + timedelta(days=100)
         threaded = [
-            vid for vid, threads in eager_store.world.threads_by_video.items()
+            vid for vid, threads in columnar_world.threads_by_video.items()
             if threads
         ]
         for vid in threaded[::25]:
-            fast = columnar_store.threads_for_video(vid, as_of)
-            slow = eager_store.threads_for_video(vid, as_of)
-            assert fast == slow
-            for thread in slow[:2]:
+            threads = columnar_world.threads_by_video[vid]
+            visible = [
+                CommentThread(
+                    thread_id=t.thread_id,
+                    video_id=t.video_id,
+                    top_level=t.top_level,
+                    replies=[r for r in t.replies if r.alive_at(as_of)],
+                )
+                for t in threads
+                if t.top_level.alive_at(as_of)
+            ]
+            assert columnar_store.threads_for_video(vid, as_of) == visible
+            for thread in threads[:2]:
                 assert columnar_store.thread(thread.thread_id) == thread
                 assert columnar_store.replies_for_thread(
                     thread.thread_id, as_of
-                ) == eager_store.replies_for_thread(thread.thread_id, as_of)
+                ) == [r for r in thread.replies if r.alive_at(as_of)]
         assert columnar_store.thread("Ugmissing") is None
 
 
 class TestEngineRuntimeParity:
-    def test_topic_runtime_arrays(self, columnar_store, eager_store, specs):
+    def test_topic_runtime_arrays(self, columnar_store, specs):
+        """The corpus's engine columns equal the per-video arithmetic."""
         params = BehaviorParams()
         for spec in specs:
-            fast = _TopicRuntime(spec, columnar_store, SEED, params)
-            slow = _TopicRuntime(spec, eager_store, SEED, params)
-            assert np.array_equal(fast.hour_of, slow.hour_of)
-            assert np.array_equal(fast.pub_ts, slow.pub_ts)
-            assert np.array_equal(fast.del_ts, slow.del_ts)
-            assert [v.video_id for v in fast.videos] == (
-                [v.video_id for v in slow.videos]
+            runtime = _TopicRuntime(spec, columnar_store, SEED, params)
+            videos = columnar_store.world.videos_for_topic(spec.key)
+            assert [v.video_id for v in runtime.videos] == (
+                [v.video_id for v in videos]
             )
+            hour_of = [
+                min(max(hour_index(spec.window_start, v.published_at), 0),
+                    spec.window_hours - 1)
+                for v in videos
+            ]
+            pub_ts = [v.published_at.timestamp() for v in videos]
+            del_ts = [
+                np.inf if v.deleted_at is None else v.deleted_at.timestamp()
+                for v in videos
+            ]
+            assert np.array_equal(runtime.hour_of, hour_of)
+            assert np.array_equal(runtime.pub_ts, pub_ts)
+            assert np.array_equal(runtime.del_ts, del_ts)
 
 
 class TestScaleClamps:
@@ -339,40 +464,25 @@ class TestScaleClamps:
 
 
 class TestWorldBuildEvent:
-    @pytest.mark.parametrize("use_columnar", [True, False])
-    def test_event_emitted_with_census(self, use_columnar):
+    @pytest.mark.parametrize("with_comments", [True, False])
+    def test_event_emitted_with_census(self, with_comments):
         specs = scale_topics(paper_topics(), 0.02)
         observer = CampaignObserver()
         world = build_world(
-            specs, seed=11, use_columnar=use_columnar, observer=observer
+            specs, seed=11, with_comments=with_comments, observer=observer
         )
         events = [e for e in observer.tracer.iter_dicts()
                   if e["type"] == "world.build"]
         assert len(events) == 1
         event = events[0]
-        assert event["path"] == ("columnar" if use_columnar else "legacy")
         assert event["videos"] == world.summary()["videos"]
         assert event["channels"] == world.summary()["channels"]
         assert event["threads"] == world.summary()["threads"]
+        assert (event["threads"] > 0) == with_comments
         assert event["tokens"] == PlatformStore(world).summary()["tokens"]
         assert event["wall_s"] > 0.0
         assert observer.metrics.counters_with_prefix("world.builds")
         assert "World builds" in observer.report()
-
-    def test_paths_report_the_same_census(self):
-        specs = scale_topics(paper_topics(), 0.02)
-        censuses = []
-        for use_columnar in (True, False):
-            observer = CampaignObserver()
-            build_world(specs, seed=11, use_columnar=use_columnar,
-                        observer=observer)
-            event = next(e for e in observer.tracer.iter_dicts()
-                         if e["type"] == "world.build")
-            censuses.append(
-                {k: event[k] for k in ("videos", "channels", "threads",
-                                       "tokens")}
-            )
-        assert censuses[0] == censuses[1]
 
 
 class TestBenchScenarioWorldKind:
@@ -411,3 +521,9 @@ class TestRegressionCorpusFeed:
         fast = CampaignIndex.build(campaign)
         slow = CampaignIndex.build(dataclasses.replace(campaign, corpus=None))
         assert fast.regression_records() == slow.regression_records()
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(
+        {name: world_digest(_build(name)) for name in WORLDS}, indent=2
+    ) + "\n")

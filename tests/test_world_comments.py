@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.util.rng import SeedBank
-from repro.world.comments import generate_threads
-from repro.world.corpus import scale_topic, scale_topics
-from repro.world.topics import paper_topics, topic_by_key
+from repro.world.corpus import scale_topics
+from repro.world.topics import paper_topics
 from repro.world import build_world
 
 
@@ -73,22 +71,3 @@ class TestGenerateThreads:
         for threads in world.threads_by_video.values():
             keys = [(t.top_level.published_at, t.thread_id) for t in threads]
             assert keys == sorted(keys)
-
-    def test_determinism(self):
-        spec = scale_topic(topic_by_key("brexit"), 0.1)
-        from repro.world.channels import generate_channels
-        from repro.world.corpus import _generate_videos
-
-        rng1 = SeedBank(5).generator("x")
-        chans1 = generate_channels(spec, 5, rng1)
-        vids1 = _generate_videos(spec, chans1, 5, rng1)
-        t1 = generate_threads(spec, vids1, 5, SeedBank(5).generator("c"))
-
-        rng2 = SeedBank(5).generator("x")
-        chans2 = generate_channels(spec, 5, rng2)
-        vids2 = _generate_videos(spec, chans2, 5, rng2)
-        t2 = generate_threads(spec, vids2, 5, SeedBank(5).generator("c"))
-
-        assert {k: [t.thread_id for t in v] for k, v in t1.items()} == {
-            k: [t.thread_id for t in v] for k, v in t2.items()
-        }

@@ -14,11 +14,11 @@ installing dependencies is out of scope for this repository's tooling.
 ``--fast`` exists so the gate can ride inside ``make verify`` without
 doubling its wall time: it drops the handful of multi-second end-to-end
 modules (golden campaign, batch collection, perf fast path, integration,
-chaos, the index-equivalence sweeps that compare the columnar
-analysis fast path against the legacy oracle on full simulated
-campaigns, and the spill-store golden/crash suite) whose *coverage* is
-almost entirely redundant with the unit tests, and compensates with a
-slightly lower floor.
+chaos, the index tests that check the columnar analyses against their
+recorded answers on a full simulated campaign, the served HTTP front
+end, the world-builder digests and store checks, and the spill-store
+golden/crash suite) whose *coverage* is almost entirely redundant with
+the unit tests, and compensates with a slightly lower floor.
 """
 
 from __future__ import annotations
