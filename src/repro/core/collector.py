@@ -9,8 +9,9 @@ optionally by CommentThreads:list / Comments:list for the comment audit.
 Resilience (see :mod:`repro.resilience` and ``docs/RESILIENCE.md``):
 
 * with a :class:`~repro.resilience.checkpoint.PartialSnapshotStore`, every
-  completed hour-bin query is persisted immediately, and a resumed
-  collection replays completed bins instead of re-querying them;
+  completed hour-bin query is persisted as soon as it is billed (a batched
+  topic sweep's bins in one write), and a resumed collection replays
+  completed bins instead of re-querying them;
 * an ``invalidPageToken`` mid-way through an hour bin restarts that bin
   from page one (bounded by the client policy's
   ``max_pagination_restarts``) — the token series died server-side and the
@@ -62,7 +63,8 @@ class SnapshotCollector:
     partial:
         Optional :class:`~repro.resilience.checkpoint.PartialSnapshotStore`
         for query-level checkpointing; completed hour bins are recorded as
-        they finish and replayed on resume.
+        they finish (``record_hour``; ``record_hours`` for a batched
+        sweep's bins at once) and replayed on resume.
     tolerate_failures:
         Degrade instead of dying: mark an hour bin missing when its query
         fails permanently (exhausted retries, open circuit) and keep
@@ -171,6 +173,8 @@ class SnapshotCollector:
         hour_video_ids: dict[int, list[str]] = {}
         pool_sizes: dict[int, int] = {}
         missing_hours: list[int] = []
+        # (hour, ids, pool, units) of the batched sweep's bins.
+        swept_bins: list[tuple[int, list[str], int, int]] = []
 
         bounds = self._bounds_for(spec)
         search_cost = service.quota.cost_of("search.list")
@@ -202,17 +206,17 @@ class SnapshotCollector:
                 ids, pool = completed[hour_index]
             elif swept is not None:
                 # Batch path: every page is already billed and recorded;
-                # the per-bin bookkeeping (query summary, checkpoint
-                # record with the bin's own spend) still runs bin by bin
-                # so resumes, journaled billing and metrics are
-                # indistinguishable from the per-call loop.
+                # each bin still gets its own query summary, and its
+                # checkpoint record carries only its own spend, so resumes,
+                # journaled billing and metrics are indistinguishable from
+                # the per-call loop.  The records go out in one group write
+                # after the loop.
                 hour = swept[hour_index]
                 ids, pool = hour.ids, hour.total_results
                 self._observer.on_search_query(hour.pages, len(ids))
-                if self._partial is not None:
-                    self._partial.record_hour(
-                        spec.key, hour_index, ids, pool, hour.pages * search_cost
-                    )
+                swept_bins.append(
+                    (hour_index, ids, pool, hour.pages * search_cost)
+                )
             else:
                 after, before = bounds[hour_index]
                 spent_before = service.quota.total_used
@@ -237,6 +241,8 @@ class SnapshotCollector:
             pool_sizes[hour_index] = pool
             if ids:
                 hour_video_ids[hour_index] = ids
+        if swept_bins and self._partial is not None:
+            self._partial.record_hours(spec.key, swept_bins)
 
         snapshot = TopicSnapshot(
             topic=spec.key,

@@ -25,7 +25,9 @@ How the pieces compose:
   whose records carry the bin's *billing* (units + virtual day) alongside
   its data.  A bin is either journaled (never re-queried, billed exactly
   once) or absent (re-queried on resume, billed then): that single rule is
-  what makes the quota ledger reconcile exactly across a crash.
+  what makes the quota ledger reconcile exactly across a crash.  A batched
+  topic sweep's bins go out as one group write with one fsync; a kill
+  inside it journals a prefix of the bins, each with its own spend.
 * Campaign results are persisted with atomic checkpoint writes, so the
   result file is always a complete prefix of the campaign — the
   byte-identity surface the chaos proofs hash.  With
@@ -97,16 +99,17 @@ class JournalPartialStore:
 
     Duck-typed to :class:`~repro.resilience.checkpoint.PartialSnapshotStore`
     (the collector's whole contract is ``exists/load/begin/record_hour/
-    clear`` plus ``path``), but backed by journal records instead of a
-    sidecar file — which buys two things the sidecar cannot give:
+    record_hours/clear`` plus ``path``), but backed by journal records
+    instead of a sidecar file — which buys two things the sidecar cannot
+    give:
 
     * the bin record carries **billing** (the bin's own quota spend and
       the virtual day it was charged on), making the journal the single
       authoritative quota stream — there is no torn boundary between a
       data file and a billing file because they are one record;
-    * :meth:`clear` is a no-op — completed snapshots' bins stay in the
-      journal as the permanent billing record (compaction folds them into
-      the state snapshot).
+    * :meth:`clear` is a no-op — the ``snapshot`` record that ends a
+      snapshot folds its bins into per-day billed totals, which are the
+      permanent billing record.
     """
 
     def __init__(
@@ -149,26 +152,40 @@ class JournalPartialStore:
     def record_hour(
         self, topic: str, hour: int, ids: list[str], pool: int, units: int
     ) -> None:
-        # ``units`` is the bin's own spend as the collector measured it, not
-        # a ledger delta: the batch engine bills a whole topic before it
-        # records the first bin, and a kill -9 mid-topic must not journal
-        # the pages of bins the resume will query (and bill) again.
+        """Journal one completed hour bin (the per-call loop's path)."""
+        self.record_hours(topic, [(hour, ids, pool, units)])
+
+    def record_hours(
+        self, topic: str, bins: list[tuple[int, list[str], int, int]]
+    ) -> None:
+        """Journal a topic's ``(hour, ids, pool, units)`` bins in one write.
+
+        ``units`` is each bin's own spend as the collector measured it, not
+        a ledger delta: the batch engine bills a whole topic before it
+        records the first bin, and a kill -9 inside the write journals a
+        prefix of the bins — which must not carry the pages of bins the
+        resume will query (and bill) again.
+        """
         with self._daemon._lock:
             index = self._campaign().partial_index
-        self._daemon._journal_apply({
-            "kind": "bin",
-            "campaign": self._cid,
-            "snapshot": index,
-            "topic": topic,
-            "hour": hour,
-            "ids": list(ids),
-            "pool": int(pool),
-            "units": int(units),
-            "day": self._service.clock.today(),
-        })
+        day = self._service.clock.today()
+        self._daemon._journal_apply(*(
+            {
+                "kind": "bin",
+                "campaign": self._cid,
+                "snapshot": index,
+                "topic": topic,
+                "hour": hour,
+                "ids": list(ids),
+                "pool": int(pool),
+                "units": int(units),
+                "day": day,
+            }
+            for hour, ids, pool, units in bins
+        ))
 
     def clear(self) -> None:
-        """Completed bins are the billing record; the journal keeps them."""
+        """Nothing to delete: the ``snapshot`` record folds the bins."""
 
 
 class OrchestratorDaemon:
@@ -243,11 +260,11 @@ class OrchestratorDaemon:
                 # Campaigns never outlive their credentials: even a
                 # tenant-paused campaign fails permanently once its key is
                 # revoked (there is no credential left to resume it with).
-                record = self.journal.append({
+                for record in self.journal.append({
                     "kind": "transition", "campaign": cid, "to": FAILED,
                     "detail": f"keyRevoked: {campaign.key_id}",
-                })
-                state.apply(record)
+                }):
+                    state.apply(record)
                 self.observer.on_orch_transition(
                     cid, campaign.state, FAILED, "keyRevoked"
                 )
@@ -261,12 +278,12 @@ class OrchestratorDaemon:
             ):
                 continue
             if campaign.state != ADMITTED:
-                record = self.journal.append({
+                old = campaign.state
+                for record in self.journal.append({
                     "kind": "transition", "campaign": cid, "to": ADMITTED,
                     "detail": "recovered",
-                })
-                old = campaign.state
-                state.apply(record)
+                }):
+                    state.apply(record)
                 self.observer.on_orch_transition(cid, old, ADMITTED, "recovered")
             self._recovered.append(cid)
         if replayed:
@@ -544,11 +561,12 @@ class OrchestratorDaemon:
             comment_snapshot_indices=(),
         )
 
-    def _journal_apply(self, record: dict) -> None:
-        """Append to the journal, fold into state, maybe compact — atomically."""
+    def _journal_apply(self, *records: dict) -> None:
+        """Append to the journal in one fsynced write, fold into state,
+        maybe compact — atomically."""
         with self._lock:
-            stamped = self.journal.append(record)
-            self.state.apply(stamped)
+            for stamped in self.journal.append(*records):
+                self.state.apply(stamped)
             if self.journal.appends_since_compact >= self.compact_every:
                 self.journal.compact(self.state)
                 self.observer.on_orch_journal("compact", self.state.last_seq)

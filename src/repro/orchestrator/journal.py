@@ -6,12 +6,14 @@ Durability model
 Two files live in the orchestrator's workdir:
 
 ``journal.jsonl``
-    Append-only JSONL.  Every record is stamped with a monotonically
-    increasing ``seq``, written as one line, flushed, and fsynced before
-    :meth:`Journal.append` returns — so any state the daemon *acts on* is
-    already on disk.  A process killed mid-append leaves at most one torn
-    trailing line, which replay drops (exactly the
-    :class:`~repro.resilience.checkpoint.PartialSnapshotStore` rule).
+    Append-only JSONL, one record per line, every record stamped with a
+    monotonically increasing ``seq``.  One :meth:`Journal.append` call is
+    one write and one fsync, whether it carries one record or a whole
+    topic sweep's hour bins — so any state the daemon *acts on* is already
+    on disk.  A process killed mid-write leaves a prefix of complete lines
+    plus at most one torn trailing line; replay keeps the complete lines
+    and drops the torn one, and :meth:`Journal.recover` cuts it off the
+    file (fsynced) before the next append can extend it.
 
 ``snapshot.json``
     An atomically-written fold of every record up to ``last_seq``
@@ -34,7 +36,7 @@ import os
 from pathlib import Path
 
 from repro.orchestrator.model import OrchestratorState
-from repro.util.jsonio import atomic_write_text
+from repro.util.jsonio import atomic_write_text, read_log
 
 __all__ = ["Journal"]
 
@@ -49,29 +51,34 @@ class Journal:
         self.snapshot_path = self.workdir / "snapshot.json"
         self._fh = None
         self._next_seq = 1
-        #: Appends since the last compaction (drives compact_every policies).
+        #: Fsynced writes since the last compaction (drives compact_every
+        #: policies); a group of records written together counts once.
         self.appends_since_compact = 0
 
     # -- writing ---------------------------------------------------------------
 
-    def append(self, record: dict) -> dict:
-        """Stamp ``seq``, write one line, flush, fsync; returns the record.
+    def append(self, *records: dict) -> list[dict]:
+        """Stamp consecutive ``seq``s; one write, flush, fsync for them all.
 
-        The fsync-per-record discipline is the whole point of a
-        write-ahead journal: when ``append`` returns, the record survives
-        ``kill -9``.  Callers apply the returned record to their in-memory
-        reducer so memory and disk stay in lockstep.
+        Returns the stamped records.  The fsync is the whole point of a
+        write-ahead journal: when ``append`` returns, every record it
+        carried survives ``kill -9``.  A kill inside the write leaves a
+        prefix of them on disk, each a complete line that replay keeps.
+        Callers apply the returned records to their in-memory reducer so
+        memory and disk stay in lockstep.
         """
-        record = dict(record)
-        record["seq"] = self._next_seq
-        self._next_seq += 1
+        stamped = []
+        for record in records:
+            stamped.append(dict(record, seq=self._next_seq))
+            self._next_seq += 1
         fh = self._handle()
-        fh.write(json.dumps(record, sort_keys=True))
-        fh.write("\n")
+        fh.write("".join(
+            json.dumps(record, sort_keys=True) + "\n" for record in stamped
+        ))
         fh.flush()
         os.fsync(fh.fileno())
         self.appends_since_compact += 1
-        return record
+        return stamped
 
     def _handle(self):
         if self._fh is None:
@@ -86,29 +93,23 @@ class Journal:
     # -- reading ---------------------------------------------------------------
 
     def replay_records(self) -> list[dict]:
-        """The surviving journal lines, torn trailing line dropped."""
+        """The surviving journal records, torn trailing line dropped."""
+        return self._replay(cut_torn_tail=False)
+
+    def _replay(self, cut_torn_tail: bool) -> list[dict]:
         if not self.journal_path.exists():
             return []
-        raw_lines = self.journal_path.read_text(encoding="utf-8").splitlines()
-        records: list[dict] = []
-        for n, line in enumerate(raw_lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                if n == len(raw_lines) - 1:
-                    break  # the append the crash interrupted
-                raise ValueError(
-                    f"{self.journal_path}:{n + 1}: corrupt journal: {exc}"
-                ) from exc
-        return records
+        return read_log(
+            self.journal_path, "journal", cut_torn_tail=cut_torn_tail,
+            fsync=True,
+        )
 
     def recover(self) -> OrchestratorState:
         """Fold snapshot + journal into the authoritative state.
 
-        Also primes :attr:`Journal.append`'s ``seq`` counter past
+        Cuts a torn trailing line off the journal first (the next append
+        must start a line of its own, or it would corrupt the fragment and
+        itself), and primes :attr:`Journal.append`'s ``seq`` counter past
         everything already on disk, so new records keep the monotonic
         ordering replay depends on.
         """
@@ -117,7 +118,7 @@ class Journal:
             state = OrchestratorState.from_dict(
                 json.loads(self.snapshot_path.read_text(encoding="utf-8"))
             )
-        for record in self.replay_records():
+        for record in self._replay(cut_torn_tail=True):
             state.apply(record)
         self._next_seq = max(self._next_seq, state.last_seq + 1)
         return state

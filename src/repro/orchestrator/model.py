@@ -30,6 +30,13 @@ journaled (it will never be re-queried, so it is billed exactly once) or
 it is not (it will be re-queried and billed then).  ``refund`` records
 subtract the in-flight spend of cancelled campaigns, mirroring the
 gateway's failed-work-is-refunded rule.
+
+Only the in-flight snapshot's bins are ever read back (a resume replays
+them, a cancel refunds them); a finished snapshot's data lives in the
+campaign result.  So once a snapshot is done — its ``snapshot`` record, or
+a later ``partial-begin``, lands — its bins are folded into per-day
+:attr:`CampaignState.billed` totals, and the state, and every compaction
+of it, holds one snapshot's bins per campaign, not the whole campaign's.
 """
 
 from __future__ import annotations
@@ -91,8 +98,12 @@ class CampaignState:
     #: Virtual collection time of the in-flight snapshot (RFC 3339).
     partial_collected_at: str | None = None
     #: (snapshot, topic, hour) -> {"ids", "pool", "units", "day"} — the
-    #: authoritative record of every issued (and billed) hour-bin query.
+    #: authoritative record of every issued (and billed) hour-bin query of
+    #: the snapshots not yet done.
     bins: dict[tuple[int, str, int], dict] = field(default_factory=dict)
+    #: Virtual day -> units billed by the bins of finished snapshots
+    #: (folded out of :attr:`bins` by :meth:`fold_finished`).
+    billed: dict[str, int] = field(default_factory=dict)
     #: Refund records: [{"day": units, ...}, ...] for cancelled in-flight work.
     refunds: list[dict[str, int]] = field(default_factory=list)
 
@@ -100,9 +111,17 @@ class CampaignState:
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
+    def fold_finished(self) -> None:
+        """Fold the bins of finished snapshots into :attr:`billed`."""
+        for key in [key for key in self.bins if key[0] < self.snapshots_done]:
+            entry = self.bins.pop(key)
+            self.billed[entry["day"]] = (
+                self.billed.get(entry["day"], 0) + entry["units"]
+            )
+
     def usage_by_day(self) -> dict[str, int]:
         """Gross billed units per virtual day (before refunds)."""
-        out: dict[str, int] = {}
+        out = dict(self.billed)
         for entry in self.bins.values():
             day = entry["day"]
             out[day] = out.get(day, 0) + int(entry["units"])
@@ -168,6 +187,7 @@ class CampaignState:
             "snapshots_done": self.snapshots_done,
             "partial_index": self.partial_index,
             "partial_collected_at": self.partial_collected_at,
+            "billed": dict(self.billed),
             "bins": [
                 {"snapshot": s, "topic": t, "hour": h, **entry}
                 for (s, t, h), entry in sorted(self.bins.items())
@@ -177,6 +197,8 @@ class CampaignState:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignState":
+        """Load a compacted campaign; older snapshots kept finished bins,
+        which are folded here."""
         state = cls(
             campaign_id=str(data["campaign_id"]),
             key_id=str(data["key_id"]),
@@ -189,6 +211,10 @@ class CampaignState:
             partial_index=data.get("partial_index"),
             partial_collected_at=data.get("partial_collected_at"),
             refunds=[dict(r) for r in data.get("refunds", [])],
+            billed={
+                str(day): int(units)
+                for day, units in data.get("billed", {}).items()
+            },
         )
         for bin_entry in data.get("bins", ()):
             key = (
@@ -202,6 +228,7 @@ class CampaignState:
                 "units": int(bin_entry["units"]),
                 "day": str(bin_entry["day"]),
             }
+        state.fold_finished()
         return state
 
 
@@ -248,6 +275,7 @@ class OrchestratorState:
             campaign.snapshots_done = max(
                 campaign.snapshots_done, int(record["snapshot"])
             )
+            campaign.fold_finished()
         elif kind == "bin":
             key = (
                 int(record["snapshot"]), str(record["topic"]),
@@ -263,6 +291,7 @@ class OrchestratorState:
             campaign.snapshots_done = max(
                 campaign.snapshots_done, int(record["snapshot"]) + 1
             )
+            campaign.fold_finished()
         elif kind == "refund":
             campaign.refunds.append(
                 {str(d): int(u) for d, u in record["units_by_day"].items()}
@@ -272,7 +301,7 @@ class OrchestratorState:
     # -- queries ---------------------------------------------------------------
 
     def usage_for_key(self, key_id: str) -> dict[str, int]:
-        """A tenant's exact net spend per virtual day, folded from bins."""
+        """A tenant's exact net spend per virtual day, folded from billing."""
         out: dict[str, int] = {}
         for campaign in self.campaigns.values():
             if campaign.key_id != key_id:

@@ -9,24 +9,29 @@ paper's methodology explicitly avoids.
 A :class:`PartialSnapshotStore` is an append-only JSONL sidecar next to
 the campaign checkpoint (``<checkpoint>.partial``): a header naming the
 snapshot being collected, then one record per *completed* hour-bin query.
-Appends are flushed per record, so the file is exactly as complete as the
-collection was when the process died.  On resume the collector replays
-completed bins from the store and issues only the missing ones; the
-determinism of the simulator (responses are a pure function of query and
-request date) makes the resumed snapshot byte-identical to an
-uninterrupted one.
+Each append is one flushed write, so the file is exactly as complete as
+the collection was when the process died.  Flushing hands the bytes to
+the OS without an fsync: the sidecar survives a process kill, not an OS
+crash (see ``docs/RESILIENCE.md``, "Failure model").  On resume the
+collector replays completed bins from the store and issues only the
+missing ones; the determinism of the simulator (responses are a pure
+function of query and request date) makes the resumed snapshot
+byte-identical to an uninterrupted one.
 
 A partially-written trailing line (the record being appended when the
 process was killed) is tolerated and dropped — its hour bin is simply
 re-queried, which is always safe because bins are only recorded *after*
-their results are complete.
+their results are complete — and :meth:`PartialSnapshotStore.load` cuts
+it off the file, since a resume appends without calling ``begin``.
 
-Both collection engines record through the store bin by bin, in hour
-order, from the collecting thread — the per-call loop as each bin
-completes, the batch engine as it walks its finished sweep — so the
-sidecar's contents after a crash are an hour-order prefix per topic, and a
-resume under either engine replays it identically (resumed topics always
-take the per-call path; see :mod:`repro.core.batch`).
+Both collection engines record through the store in hour order, from the
+collecting thread — the per-call loop one bin per write as each bin
+completes (:meth:`~PartialSnapshotStore.record_hour`), the batch engine a
+whole topic per write once its sweep is billed
+(:meth:`~PartialSnapshotStore.record_hours`) — so the sidecar's contents
+after a crash are an hour-order prefix per topic, and a resume under
+either engine replays it identically (resumed topics always take the
+per-call path; see :mod:`repro.core.batch`).
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 
+from repro.util.jsonio import read_log
 from repro.util.timeutil import format_rfc3339, parse_rfc3339
 
 __all__ = ["PartialSnapshot", "PartialSnapshotStore"]
@@ -81,21 +87,29 @@ class PartialSnapshotStore:
     def record_hour(
         self, topic: str, hour: int, ids: list[str], pool: int, units: int = 0
     ) -> None:
-        """Append one completed hour-bin query (flushed immediately).
+        """Append one completed hour-bin query (flushed immediately)."""
+        self.record_hours(topic, [(hour, ids, pool, units)])
 
-        ``units`` is the quota the bin's queries spent.  The sidecar does
+    def record_hours(
+        self, topic: str, bins: list[tuple[int, list[str], int, int]]
+    ) -> None:
+        """Append a topic's ``(hour, ids, pool, units)`` bins in one write.
+
+        ``units`` is the quota each bin's queries spent.  The sidecar does
         not record it; stores that journal billing (the orchestrator's
         :class:`~repro.orchestrator.daemon.JournalPartialStore`) do.
         """
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({
-                "kind": "hour",
-                "topic": topic,
-                "hour": hour,
-                "ids": list(ids),
-                "pool": int(pool),
-            }, sort_keys=True))
-            fh.write("\n")
+            fh.write("".join(
+                json.dumps({
+                    "kind": "hour",
+                    "topic": topic,
+                    "hour": hour,
+                    "ids": list(ids),
+                    "pool": int(pool),
+                }, sort_keys=True) + "\n"
+                for hour, ids, pool, _units in bins
+            ))
             fh.flush()
 
     def clear(self) -> None:
@@ -109,24 +123,13 @@ class PartialSnapshotStore:
 
         Raises ``ValueError`` on structural corruption (wrong header, bad
         record kinds); a truncated *final* line is dropped silently, since
-        killing the process mid-append is this store's normal failure mode.
+        killing the process mid-append is this store's normal failure mode,
+        and cut off the file, so the resumed bins append after the last
+        complete record (the bin it tore will be re-queried).
         """
         if not self.path.exists():
             return None
-        raw_lines = self.path.read_text(encoding="utf-8").splitlines()
-        records: list[dict] = []
-        for n, line in enumerate(raw_lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                if n == len(raw_lines) - 1:
-                    break  # interrupted append; the bin will be re-queried
-                raise ValueError(
-                    f"{self.path}:{n + 1}: corrupt partial checkpoint: {exc}"
-                ) from exc
+        records = read_log(self.path, "partial checkpoint", cut_torn_tail=True)
         if not records:
             return None
         header = records[0]

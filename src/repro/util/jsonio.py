@@ -10,6 +10,10 @@ target, so a process killed mid-save can never leave a torn or empty
 file — the reader sees either the old complete document or the new one.
 The orchestrator's journal compaction, campaign checkpoints, and the
 serve layer's key table all persist through this path.
+
+Append-only logs (the orchestrator's journal, the partial-snapshot
+sidecar) are read back with :func:`read_log`, which drops the line a kill
+tore and can cut it off the file before the next append.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "dump_json",
     "load_json",
     "atomic_write_text",
+    "read_log",
 ]
 
 
@@ -125,6 +130,38 @@ def read_jsonl(path: str | Path) -> Iterator[Any]:
                 yield json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
+
+
+def read_log(
+    path: Path, what: str, cut_torn_tail: bool = False, fsync: bool = False
+) -> list[Any]:
+    """The complete records of an append-only JSONL log, oldest first.
+
+    A record is complete once its line's newline is on disk.  Bytes after
+    the last newline are the write a kill interrupted: they are never
+    returned, and with ``cut_torn_tail`` the file is cut back to its last
+    complete line (and the cut fsynced with ``fsync``), so the next append
+    starts a line of its own instead of extending the fragment.  A complete
+    line that is not JSON raises ``ValueError`` naming ``what``: that is
+    damage, not a crash.
+    """
+    data = path.read_bytes()
+    end = data.rfind(b"\n") + 1
+    if cut_torn_tail and end < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(end)
+            if fsync:
+                os.fsync(fh.fileno())
+    records = []
+    for n, line in enumerate(data[:end].decode("utf-8").splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{n}: corrupt {what}: {exc}") from exc
+    return records
 
 
 def dump_json(path: str | Path, payload: Any, atomic: bool = False) -> None:

@@ -49,11 +49,9 @@ from repro.world.channels import (
     ChannelColumns,
     channel_from_row,
     channel_ordinal_base,
-    draw_channel_columns,
 )
 from repro.world.comments import (
     ThreadColumns,
-    draw_thread_columns,
     materialize_video_threads,
     thread_ordinal_base,
 )
@@ -353,9 +351,9 @@ class ColumnarCorpus:
     """The columnar world: typed arrays plus cached lazy materialization.
 
     All caches are guarded by one re-entrant lock so concurrent readers
-    (the threaded collection backend shares one store) always observe a
-    single materialized object per entity — callers rely on object
-    identity for repeated lookups.
+    (the orchestrator's worker threads run campaigns over one shared
+    world, hence one corpus) always observe a single materialized object
+    per entity — callers rely on object identity for repeated lookups.
     """
 
     def __init__(self, seed: int, topics: dict[str, TopicColumns]) -> None:

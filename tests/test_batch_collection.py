@@ -467,6 +467,9 @@ class _BinRecorder:
     def record_hour(self, topic, hour, ids, pool, units) -> None:
         self.bins.append((topic, hour, units))
 
+    def record_hours(self, topic, bins) -> None:
+        self.bins.extend((topic, hour, units) for hour, _, _, units in bins)
+
     def clear(self) -> None:
         pass
 

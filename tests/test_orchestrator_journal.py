@@ -4,14 +4,17 @@ The recovery guarantee rests on three mechanical properties, each pinned
 here in isolation (the daemon tests then prove the composition):
 
 * **append durability discipline** — every record is seq-stamped and on
-  its own JSONL line; replay returns exactly what was appended, and a
-  torn trailing line (the append a ``kill -9`` interrupted) is dropped
-  while interior corruption raises;
+  its own JSONL line, a group of records is one fsynced write; replay
+  returns exactly what was appended, and a torn trailing line (the append
+  a ``kill -9`` interrupted) is dropped, and cut off by recovery, while
+  interior corruption raises;
 * **seq idempotence** — the reducer skips records at or below its
   ``last_seq``, so the compaction window (snapshot written, journal not
   yet truncated) replays as a no-op;
 * **compaction equivalence** — fold(snapshot + journal tail) equals
-  fold(full journal), always.
+  fold(full journal), always;
+* **the fold** — a finished snapshot's bins collapse into per-day billed
+  totals without moving any ledger.
 """
 
 from __future__ import annotations
@@ -44,17 +47,24 @@ def _bin(cid, snapshot, hour, units=100, day="2025-02-09"):
     }
 
 
+def _begin(snapshot, collected_at="2025-02-09"):
+    return {
+        "kind": "partial-begin", "campaign": "c0001", "snapshot": snapshot,
+        "collected_at": f"{collected_at}T00:00:00Z",
+    }
+
+
 class TestJournalAppendReplay:
     def test_append_stamps_monotonic_seqs_and_replays_in_order(self, tmp_path):
         journal = Journal(tmp_path)
-        stamped = [journal.append({"kind": "noop", "n": n}) for n in range(5)]
+        stamped = [journal.append({"kind": "noop", "n": n})[0] for n in range(5)]
         assert [r["seq"] for r in stamped] == [1, 2, 3, 4, 5]
         journal.close()
         assert journal.replay_records() == stamped
 
     def test_torn_trailing_line_is_dropped(self, tmp_path):
         journal = Journal(tmp_path)
-        keep = journal.append(_submit())
+        (keep,) = journal.append(_submit())
         journal.close()
         with open(journal.journal_path, "a", encoding="utf-8") as fh:
             fh.write('{"kind": "bin", "campaign": "c0001", "uni')  # no \n
@@ -71,6 +81,46 @@ class TestJournalAppendReplay:
         with pytest.raises(ValueError, match="corrupt journal"):
             journal.replay_records()
 
+    def test_group_append_is_one_write_of_consecutive_seqs(
+        self, tmp_path, monkeypatch
+    ):
+        journal = Journal(tmp_path)
+        journal.append(_submit())
+        fsyncs = []
+        monkeypatch.setattr(
+            "repro.orchestrator.journal.os.fsync", fsyncs.append
+        )
+        group = journal.append(*(_bin("c0001", 0, hour) for hour in range(3)))
+        assert [r["seq"] for r in group] == [2, 3, 4]
+        assert len(fsyncs) == 1
+        assert journal.appends_since_compact == 2  # writes, not records
+        journal.close()
+        assert journal.replay_records()[1:] == group
+
+    def test_restart_after_torn_tail_keeps_the_next_record(self, tmp_path):
+        journal = Journal(tmp_path)
+        journal.append(_submit())
+        journal.close()
+        with open(journal.journal_path, "a", encoding="utf-8") as fh:
+            fh.write('{"kind": "bin", "campaign": "c0001", "uni')  # a kill
+
+        restarted = Journal(tmp_path)
+        assert restarted.recover().last_seq == 1
+        (transition,) = restarted.append(
+            {"kind": "transition", "campaign": "c0001", "to": "admitted",
+             "detail": "recovered"}
+        )
+        restarted.close()
+
+        again = Journal(tmp_path)
+        state = again.recover()
+        assert state.last_seq == 2
+        assert state.campaigns["c0001"].state == "admitted"
+        assert again.replay_records()[-1] == transition
+        again.append({"kind": "noop"})
+        again.close()
+        assert Journal(tmp_path).recover().last_seq == 3
+
     def test_recover_primes_seq_past_existing_records(self, tmp_path):
         journal = Journal(tmp_path)
         journal.append(_submit())
@@ -81,7 +131,7 @@ class TestJournalAppendReplay:
         reopened = Journal(tmp_path)
         state = reopened.recover()
         assert state.last_seq == 2
-        fresh = reopened.append({"kind": "noop"})
+        (fresh,) = reopened.append({"kind": "noop"})
         assert fresh["seq"] == 3
 
 
@@ -100,7 +150,8 @@ class TestCompaction:
             {"kind": "snapshot", "campaign": "c0001", "snapshot": 0},
         ]
         for record in records:
-            state.apply(journal.append(record))
+            for stamped in journal.append(record):
+                state.apply(stamped)
         return journal, state
 
     def test_compaction_preserves_the_fold(self, tmp_path):
@@ -109,10 +160,11 @@ class TestCompaction:
         assert journal.journal_path.read_text() == ""
 
         # More records after the compaction land in the (empty) journal.
-        state.apply(journal.append(
+        (begin,) = journal.append(
             {"kind": "partial-begin", "campaign": "c0001", "snapshot": 1,
              "collected_at": "2025-02-14T00:00:00Z"}
-        ))
+        )
+        state.apply(begin)
         journal.close()
 
         recovered = Journal(tmp_path).recover()
@@ -207,6 +259,84 @@ class TestReducer:
         rebuilt = OrchestratorState.from_dict(state.to_dict())
         assert rebuilt.to_dict() == state.to_dict()
         assert rebuilt.campaigns["c0001"].bins == state.campaigns["c0001"].bins
+
+
+class TestFold:
+    """Finished snapshots' bins fold into per-day billed totals."""
+
+    def _state(self, *records):
+        state = OrchestratorState()
+        for seq, record in enumerate((_submit(), *records), start=1):
+            state.apply(dict(record, seq=seq))
+        return state, state.campaigns["c0001"]
+
+    def test_snapshot_record_folds_its_bins(self):
+        state, campaign = self._state(
+            _begin(0), _bin("c0001", 0, 0), _bin("c0001", 0, 1, units=200),
+        )
+        assert len(campaign.bins) == 2 and campaign.billed == {}
+        state.apply({"kind": "snapshot", "campaign": "c0001", "snapshot": 0,
+                     "seq": 5})
+        assert campaign.bins == {}
+        assert campaign.billed == {"2025-02-09": 300}
+
+    def test_implied_partial_begin_folds_earlier_snapshots(self):
+        # A kill after the result persisted but before the snapshot record:
+        # the next partial-begin alone says snapshot 0 is done.
+        _, campaign = self._state(
+            _begin(0), _bin("c0001", 0, 0), _begin(1, "2025-02-14"),
+            _bin("c0001", 1, 0, day="2025-02-14"),
+        )
+        assert campaign.snapshots_done == 1
+        assert set(campaign.bins) == {(1, "blm", 0)}
+        assert campaign.billed == {"2025-02-09": 100}
+
+    def test_fold_leaves_usage_unchanged(self):
+        state, campaign = self._state(
+            _begin(0), _bin("c0001", 0, 0), _bin("c0001", 0, 1, units=300),
+            _bin("c0001", 0, 2, day="2025-02-10"),
+        )
+        before = campaign.usage_by_day()
+        state.apply(dict(_begin(1, "2025-02-14"), seq=6))
+        assert campaign.bins == {} and campaign.billed  # the fold happened
+        assert campaign.usage_by_day() == before == {
+            "2025-02-09": 400, "2025-02-10": 100,
+        }
+        assert state.usage_for_key("k0001") == before
+
+    def test_refund_after_a_fold_returns_only_inflight_bins(self):
+        state, campaign = self._state(
+            _begin(0), _bin("c0001", 0, 0), _bin("c0001", 0, 1),
+            {"kind": "snapshot", "campaign": "c0001", "snapshot": 0},
+            _begin(1, "2025-02-14"), _bin("c0001", 1, 0, day="2025-02-14"),
+        )
+        assert set(campaign.inflight_bins()) == {(1, "blm", 0)}
+        state.apply({"kind": "refund", "campaign": "c0001",
+                     "units_by_day": {"2025-02-14": 100},
+                     "reason": "cancelled", "seq": 8})
+        assert campaign.usage_by_day() == {
+            "2025-02-09": 200, "2025-02-14": 100,
+        }
+        assert campaign.net_usage_by_day() == {"2025-02-09": 200}
+        assert campaign.to_status_dict()["quotaUnits"] == 200
+
+    def test_round_trip_keeps_billed_and_inflight_bins(self):
+        state, campaign = self._state(
+            _begin(0), _bin("c0001", 0, 0),
+            {"kind": "snapshot", "campaign": "c0001", "snapshot": 0},
+            _begin(1, "2025-02-14"), _bin("c0001", 1, 3, day="2025-02-14"),
+        )
+        payload = state.to_dict()["campaigns"][0]
+        assert payload["billed"] == {"2025-02-09": 100}
+        assert [(b["snapshot"], b["hour"]) for b in payload["bins"]] == [(1, 3)]
+        rebuilt = OrchestratorState.from_dict(
+            json.loads(json.dumps(state.to_dict()))
+        )
+        assert rebuilt.to_dict() == state.to_dict()
+        again = rebuilt.campaigns["c0001"]
+        assert again.billed == campaign.billed
+        assert again.bins == campaign.bins
+        assert again.usage_by_day() == campaign.usage_by_day()
 
 
 class TestStateMachineTable:

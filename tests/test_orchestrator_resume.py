@@ -126,18 +126,23 @@ class TestJournaledBilling:
     def test_batch_swept_bins_journal_their_own_spend(self, gateway, tmp_path):
         # The default batch engine bills a whole topic before it records
         # the first bin.  Each journaled bin must still carry only its own
-        # page, or a kill -9 mid-topic would leave every page on the first
-        # bins and the resume would bill the rest again (the failure
-        # tools/orchestrator_smoke.py catches with a real SIGKILL).
+        # page, or a kill -9 inside the group write would leave every page
+        # on the first bins and the resume would bill the rest again (the
+        # failure tools/orchestrator_smoke.py catches with a real SIGKILL).
+        # The finished snapshot's bins are folded out of the state, so
+        # read them from the journal, before the drain compacts it.
         daemon = OrchestratorDaemon(gateway, tmp_path / "orch")
         key = gateway.mint_key(daily_limit=10_000)
         daemon.start()
         cid = daemon.submit(key.credential, collections=1)["campaignId"]
         assert daemon.wait_idle(timeout=60)
-        bins = daemon.state.campaigns[cid].bins
+        bins = [
+            record for record in daemon.journal.replay_records()
+            if record["kind"] == "bin" and record["campaign"] == cid
+        ]
         daemon.drain()
         assert len(bins) == SNAPSHOT_UNITS // 100
-        assert {entry["units"] for entry in bins.values()} == {100}
+        assert {record["units"] for record in bins} == {100}
 
 
 class TestResumeIdempotence:

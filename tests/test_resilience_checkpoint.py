@@ -78,6 +78,31 @@ class TestPartialSnapshotStore:
         partial = store.load()
         assert partial.completed_for("t") == {0: (["a"], 1)}
 
+    def test_resume_after_torn_line_appends_a_line_of_its_own(self, tmp_path):
+        store = PartialSnapshotStore(tmp_path / "p")
+        store.begin(0, WHEN)
+        store.record_hour("t", 0, ["a"], 1)
+        with open(store.path, "a", encoding="utf-8") as fh:
+            fh.write('{"kind": "hour", "topic": "t", "hour": 1, "ids": ["b')
+        # A resume loads the partial, then appends without begin().
+        assert store.load().completed_for("t") == {0: (["a"], 1)}
+        store.record_hour("t", 1, ["b"], 1)
+        store.record_hours("t", [(2, ["c"], 1, 100), (3, [], 0, 100)])
+        assert store.load().completed_for("t") == {
+            0: (["a"], 1), 1: (["b"], 1), 2: (["c"], 1), 3: ([], 0),
+        }
+
+    def test_record_hours_matches_record_hour(self, tmp_path):
+        one = PartialSnapshotStore(tmp_path / "one")
+        group = PartialSnapshotStore(tmp_path / "group")
+        bins = [(0, ["a", "b"], 17, 100), (1, [], 0, 100), (2, ["c"], 1, 100)]
+        for store in (one, group):
+            store.begin(0, WHEN)
+        for hour, ids, pool, units in bins:
+            one.record_hour("t", hour, ids, pool, units)
+        group.record_hours("t", bins)
+        assert group.path.read_bytes() == one.path.read_bytes()
+
     def test_corrupt_interior_line_raises(self, tmp_path):
         store = PartialSnapshotStore(tmp_path / "p")
         store.begin(0, WHEN)
