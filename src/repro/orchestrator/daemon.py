@@ -16,10 +16,14 @@ How the pieces compose:
   :class:`~repro.orchestrator.model.OrchestratorState` is only ever the
   fold of those records, so recovery replays to the identical state.
 * Each campaign runs on a worker thread with its **own**
-  :class:`~repro.api.service.YouTubeService` over the shared world and its
-  own sub-ledger under the tenant key's quota policy; its **own virtual
-  clock** walks the 5-day cadence, so concurrent campaigns never contend
-  on clock or ledger.
+  :class:`~repro.api.service.YouTubeService`
+  (:meth:`~repro.serve.gateway.SimulatorGateway.campaign_service`): its
+  own sub-ledger under the tenant key's quota policy, its own transport,
+  and its **own virtual clock** walking the campaign's cadence, so
+  concurrent campaigns never contend on clock or ledger.  The store and
+  the search engine are the gateway's warm ones, shared by every
+  campaign: each (topic, date) churn state is computed once, under that
+  topic's lock, not once per campaign.
 * Hour-bin progress is journaled through :class:`JournalPartialStore` — a
   :class:`~repro.resilience.checkpoint.PartialSnapshotStore`-shaped store
   whose records carry the bin's *billing* (units + virtual day) alongside
@@ -56,7 +60,6 @@ import time
 from pathlib import Path
 
 from repro.api.errors import QuotaExceededError
-from repro.api.service import build_service
 from repro.obs.observer import NullObserver
 from repro.orchestrator.admission import AdmissionController
 from repro.orchestrator.journal import Journal
@@ -684,12 +687,7 @@ class OrchestratorDaemon:
         config = self._campaign_config(
             campaign.collections, campaign.interval_days
         )
-        # An isolated service over the shared world: own clock (the 5-day
-        # cadence), own sub-ledger under the tenant's policy.
-        service = build_service(
-            self.gateway.world, seed=self.gateway.seed,
-            specs=self.gateway.specs, quota_policy=key.policy,
-        )
+        service = self.gateway.campaign_service(key.policy)
         with self._lock:
             seeded = campaign.net_usage_by_day()
         if seeded:

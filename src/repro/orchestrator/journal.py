@@ -10,10 +10,12 @@ Two files live in the orchestrator's workdir:
     monotonically increasing ``seq``.  One :meth:`Journal.append` call is
     one write and one fsync, whether it carries one record or a whole
     topic sweep's hour bins — so any state the daemon *acts on* is already
-    on disk.  A process killed mid-write leaves a prefix of complete lines
-    plus at most one torn trailing line; replay keeps the complete lines
-    and drops the torn one, and :meth:`Journal.recover` cuts it off the
-    file (fsynced) before the next append can extend it.
+    on disk.  Whichever call creates the file fsyncs the workdir once, so
+    the file's name is as durable as its records.  A process killed
+    mid-write leaves a prefix of complete lines plus at most one torn
+    trailing line; replay keeps the complete lines and drops the torn
+    one, and :meth:`Journal.recover` cuts it off the file (fsynced) before
+    the next append can extend it.
 
 ``snapshot.json``
     An atomically-written fold of every record up to ``last_seq``
@@ -36,7 +38,7 @@ import os
 from pathlib import Path
 
 from repro.orchestrator.model import OrchestratorState
-from repro.util.jsonio import atomic_write_text, read_log
+from repro.util.jsonio import _fsync_dir, atomic_write_text, read_log
 
 __all__ = ["Journal"]
 
@@ -82,8 +84,16 @@ class Journal:
 
     def _handle(self):
         if self._fh is None:
-            self._fh = open(self.journal_path, "a", encoding="utf-8")
+            self._fh = self._open("a")
         return self._fh
+
+    def _open(self, mode: str):
+        """Open the journal file; fsync the workdir if this created it."""
+        created = not self.journal_path.exists()
+        fh = open(self.journal_path, mode, encoding="utf-8")
+        if created:
+            _fsync_dir(self.workdir)
+        return fh
 
     def close(self) -> None:
         if self._fh is not None:
@@ -138,7 +148,7 @@ class Journal:
             self.snapshot_path,
             json.dumps(state.to_dict(), sort_keys=True) + "\n",
         )
-        with open(self.journal_path, "w", encoding="utf-8") as fh:
+        with self._open("w") as fh:
             fh.flush()
             os.fsync(fh.fileno())
         self.appends_since_compact = 0

@@ -126,14 +126,28 @@ class ChurnProcess:
 
     The state on day ``D`` is defined by a replay from the epoch: day 0
     draws ``x = eps_0`` and every later day applies
-    ``x = rho * x + c * eps_d`` with ``c = sqrt(1 - rho**2)``.  The first
-    query (and any query before the cached day) does not replay thousands
-    of days: each lane couples from the past over its last
-    ``_coupling_days(rho)`` days, which gives the replay's state bit for
-    bit, and replays from day 0 only when the two bracketing trajectories
-    have not met (see :meth:`_couple`).  Later queries advance the cached
-    state forward a few steps, so a 16-snapshot campaign pays for one
-    cold start per topic.
+    ``x = rho * x + c * eps_d`` with ``c = sqrt(1 - rho**2)``.  A cold
+    start does not replay thousands of days: each lane couples from the
+    past over its last ``_coupling_days(rho)`` days, which gives the
+    replay's state bit for bit, and replays from day 0 only when the two
+    bracketing trajectories have not met (see :meth:`_couple`).
+
+    Two exact states are kept, so most queries advance a few steps
+    instead of cold-starting:
+
+    * the **cursor**, the state of the last day queried;
+    * the **anchor**, the state of the earliest day that was cold-started.
+
+    A query starts from the later of the two that is at or before its day
+    and advances from there.  Per lane, it cold-starts instead when
+    neither is, or when the gap exceeds that lane's ``_coupling_days``, so
+    no query costs more than a cold start.  A cold start before the
+    anchor becomes the new anchor.  So a 16-snapshot campaign pays one
+    cold start per topic, and campaigns on different cadences that share
+    one process do too: a date between two earlier ones advances from the
+    anchor instead of restarting.  Memory stays at two states per lane.
+
+    Not thread-safe: the engine serializes each topic's calls.
     """
 
     def __init__(self, spec: TopicSpec, n_videos: int, seed: int) -> None:
@@ -147,8 +161,10 @@ class ChurnProcess:
             "fast": fast_daily_rho(spec.churn_volatility),
         }
         self._epoch = spec.window_end
-        self._state: dict[str, np.ndarray] = {}
-        self._state_day: int = -1
+        # (day, lane -> state): the last day queried, and the earliest day
+        # cold-started.  States are never mutated, so the two may share.
+        self._cursor: tuple[int, dict[str, np.ndarray]] | None = None
+        self._anchor: tuple[int, dict[str, np.ndarray]] | None = None
 
     @property
     def rho(self) -> float:
@@ -172,20 +188,38 @@ class ChurnProcess:
         predate the content window in the audit design).
         """
         day = max(0, day_index(self._epoch, when))
-        if not self._state or day < self._state_day:
-            # Cold start.  Restarting on backwards queries keeps the process
-            # a pure function of the day despite the forward cache.
-            self._state = {lane: self._cold_start(lane, day) for lane in _LANES}
-        elif day > self._state_day:
-            self._state = {
-                lane: self._run(lane, x, self._draws(lane, self._state_day + 1, day))
-                for lane, x in self._state.items()
-            }
-        self._state_day = day
-        return (
-            np.sqrt(_SLOW_SHARE) * self._state["slow"]
-            + np.sqrt(1.0 - _SLOW_SHARE) * self._state["fast"]
+        base = max(
+            (kept for kept in (self._cursor, self._anchor)
+             if kept is not None and kept[0] <= day),
+            key=lambda kept: kept[0],
+            default=None,
         )
+        state = {lane: self._lane_at(lane, day, base) for lane in _LANES}
+        if self._anchor is None or day < self._anchor[0]:
+            self._anchor = (day, state)
+        self._cursor = (day, state)
+        return (
+            np.sqrt(_SLOW_SHARE) * state["slow"]
+            + np.sqrt(1.0 - _SLOW_SHARE) * state["fast"]
+        )
+
+    def _lane_at(
+        self, lane: str, day: int, base: tuple[int, dict[str, np.ndarray]] | None
+    ) -> np.ndarray:
+        """One lane's state on ``day``: advanced from ``base``, or cold-started.
+
+        Advancing applies the replay's own update from an exact state, so
+        both paths give the replay's bits; the gap cap only picks the
+        cheaper one.
+        """
+        if base is not None:
+            base_day, states = base
+            if base_day == day:
+                return states[lane]
+            horizon = _coupling_days(self._rho[lane])
+            if horizon is None or day - base_day <= horizon:
+                return self._run(lane, states[lane], self._draws(lane, base_day + 1, day))
+        return self._cold_start(lane, day)
 
     def _cold_start(self, lane: str, day: int) -> np.ndarray:
         horizon = _coupling_days(self._rho[lane])

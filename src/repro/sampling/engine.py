@@ -29,10 +29,22 @@ Cache invariants:
   engine with different :class:`BehaviorParams` starts cold and can never
   observe another parameterization's memos.
 
-The caches are guarded by a lock so one engine stays safe to share
-across threads.  No in-repo caller does so concurrently today: the serve
-gateway's warm service, the only engine several threads reach, is called
-under the gateway's backend lock.
+One engine is shared across threads: the serve gateway's warm engine
+answers served requests under the gateway's backend lock, while every
+``/v1/campaigns`` job and orchestrated campaign runs its own service over
+that same engine on a worker thread, without that lock.  So each
+(topic, date) state is computed once for all of them.  Two locks keep
+that safe:
+
+* ``_cache_lock`` guards the partition, selection and day-factor caches.
+  Their values are pure, so racing misses compute identical values and
+  the first store wins.  The density model's per-day jitter rows are
+  pure too and are stored without a lock.
+* each topic's ``churn_lock`` serializes its :class:`ChurnProcess`, which
+  is stateful, and guards that topic's latent-cache entries.  A miss
+  holds only its own topic's lock while churn runs, so a cold start of
+  one topic never stalls another topic's queries, and the
+  ``_cache_lock`` is never taken under a churn lock.
 """
 
 from __future__ import annotations
@@ -139,6 +151,9 @@ class _TopicRuntime:
         self.density = InterestDensity(spec, budget_jitter=params.budget_jitter)
         self.pool = PoolSizeModel(spec)
         self.churn = ChurnProcess(spec, len(self.videos), seed)
+        # Serializes the stateful churn process and the writes of this
+        # topic's latent-cache entries.
+        self.churn_lock = threading.Lock()
         # Publish/delete instants as POSIX seconds (so per-query liveness is
         # one vectorized comparison) and each video's hour offset within
         # the topic window, sliced from the corpus epochs in
@@ -183,8 +198,8 @@ class SearchBehaviorEngine:
         # (topic, request date) -> per-collection-day budget factor.
         self._day_factor_cache: dict[tuple[str, str], float] = {}
         # (topic, request date) -> mixed latent churn vector.  The churn
-        # process itself is stateful (it advances day by day), so reads go
-        # through the cache lock.
+        # process itself is stateful (it advances day by day), so misses go
+        # through the topic's churn lock.
         self._latent_cache: dict[tuple[str, str], np.ndarray] = {}
         # (query, channelId, request instant) -> topic -> (narrowness,
         # selected videos, their publish times, their publish epochs).  The
@@ -197,9 +212,8 @@ class SearchBehaviorEngine:
             tuple[str, str, datetime],
             dict[str, tuple[float, list[Video], list[datetime], np.ndarray]],
         ] = {}
-        # One lock guards every cache: misses are rare (six queries, one
-        # date per snapshot) and the hit path only takes the lock on the
-        # stateful latent lookup.
+        # Guards every cache but the latent one: misses are rare (six
+        # queries, one date per snapshot) and hits take no lock.
         self._cache_lock = threading.Lock()
 
     @property
@@ -391,8 +405,8 @@ class SearchBehaviorEngine:
                 [v.published_at for v in kept],
                 epochs,
             )
-        # Computed outside the lock (so the stateful latent lookup can take
-        # it); racing threads produce identical values, first store wins.
+        # Computed outside the lock, so a churn miss holds no engine-wide
+        # lock; racing threads produce identical values, first store wins.
         with self._cache_lock:
             return self._selection_cache.setdefault(cache_key, selection)
 
@@ -461,15 +475,16 @@ class SearchBehaviorEngine:
         """Memoized per-(topic, request-date) latent churn vector.
 
         :meth:`ChurnProcess.latent_at` is a pure function of the request
-        *date* but keeps the last day's state: a later date advances it,
-        and the first date (or an earlier one) cold-starts it by coupling
-        from the past.  That state is why the lookup is serialized behind
-        the cache lock.
+        *date* but keeps two days' states to advance from, so a miss is
+        serialized behind the topic's churn lock and checks the cache again
+        under it: churn runs once per (topic, date), however many threads
+        ask.  Only this topic's misses write its keys, and they hold its
+        lock, so the store needs no other lock.
         """
         key = (runtime.spec.key, request_label)
         latent = self._latent_cache.get(key)
         if latent is None:
-            with self._cache_lock:
+            with runtime.churn_lock:
                 latent = self._latent_cache.get(key)
                 if latent is None:
                     latent = runtime.churn.latent_at(as_of)

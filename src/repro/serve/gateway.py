@@ -18,11 +18,15 @@
   circuit is open the gateway degrades to 503 answers without touching
   the backend, and backend failures/successes feed the breaker;
 * **campaign jobs**: a tenant submits a campaign, the gateway runs it on
-  a worker thread against its own service over the same shared world with
-  an isolated sub-ledger, and at completion *absorbs* the sub-ledger into
+  a worker thread against its own service (:meth:`campaign_service`: own
+  clock, transport and isolated sub-ledger) over the warm service's store
+  and search engine, and at completion *absorbs* the sub-ledger into
   the tenant's ledger through the lock-protected
   :meth:`~repro.api.quota.QuotaLedger.absorb` path — over-limit runs are
-  recorded truthfully and reported as ``quota_exceeded``.
+  recorded truthfully and reported as ``quota_exceeded``.  Sharing the
+  engine means each (topic, date) churn state is computed once for every
+  job, orchestrated campaign and served request: its caches are pure
+  functions of (world, seed, specs, key), so no answer changes.
 
 Byte-identity contract: :meth:`SimulatorGateway.search_list` returns the
 UTF-8 bytes of ``json.dumps(response, sort_keys=True)`` for the exact
@@ -281,9 +285,10 @@ class SimulatorGateway:
         """Queue an audit campaign for a tenant; returns the queued job.
 
         The campaign runs on a worker thread against its own service over
-        the shared world, billing an isolated sub-ledger under the
-        tenant's own policy; the sub-ledger is absorbed into the tenant's
-        ledger when the job finishes.
+        the warm service's store and engine (:meth:`campaign_service`),
+        billing an isolated sub-ledger under the tenant's own policy; the
+        sub-ledger is absorbed into the tenant's ledger when the job
+        finishes.
         """
         key = self.authenticate(credential)
         if not 1 <= collections <= 17:
@@ -317,6 +322,20 @@ class SimulatorGateway:
             raise ServeError(404, "notFound", f"no campaign job {job_id!r}")
         return job
 
+    def campaign_service(self, policy: QuotaPolicy) -> YouTubeService:
+        """A campaign's own service over the warm store and search engine.
+
+        The clock, the quota ledger (under ``policy``), the transport and
+        the endpoints' row caches are the campaign's own; the store and the
+        engine, whose caches are pure functions of the shared world, are
+        the warm service's.  So a churn cold start is paid once per
+        (topic, date), not once per campaign.
+        """
+        warm = self.service
+        return YouTubeService(
+            warm.store, warm.engine, quota=QuotaLedger(policy=policy)
+        )
+
     def _run_campaign_job(self, job: CampaignJob, key: ApiKey) -> None:
         import dataclasses
 
@@ -327,10 +346,7 @@ class SimulatorGateway:
         job.status = "running"
         self.observer.on_serve_campaign(job.job_id, job.key_id, "running")
         try:
-            service = build_service(
-                self.world, seed=self.seed, specs=self.specs,
-                quota_policy=key.policy,
-            )
+            service = self.campaign_service(key.policy)
             config = dataclasses.replace(
                 paper_campaign_config(topics=self.specs, with_comments=False),
                 n_scheduled=job.collections,
@@ -464,10 +480,11 @@ class SimulatorGateway:
     ) -> bytes:
         """What a plain in-process service answers for ``(params, asOf)``.
 
-        Runs on a dedicated service instance (same world/seed/specs as the
-        serving one, fresh caches) so the smoke gate compares the served
-        bytes against an independent computation of the same pure
-        function.
+        Runs on a dedicated service instance with its own engine (same
+        world/seed/specs as the serving one, fresh caches), never the warm
+        engine that served requests and campaigns share, so the smoke gate
+        compares the served bytes against an independent computation of
+        the same pure function.
         """
         with self._reference_lock:
             if self._reference is None:

@@ -17,15 +17,20 @@ The headline assertions mirror the chaos harness's invariants:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import time
 
 import pytest
 
+from repro.api import YouTubeClient, build_service
+from repro.core.campaign import run_campaign
 from repro.orchestrator import OrchestratorDaemon
 from repro.orchestrator.model import (
     ADMITTED, CANCELLED, COMPLETED, FAILED, PAUSED, RUNNING,
 )
 from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.sampling.churn import ChurnProcess
+from repro.sampling.engine import SearchBehaviorEngine
 from repro.serve.gateway import ServeError, build_gateway
 from repro.serve.keys import KeyTable
 from repro.world.corpus import build_world, scale_topic
@@ -442,3 +447,152 @@ class TestSpillResults:
         )
         recovered.drain()
         gateway.close()
+
+
+class TestSharedEngine:
+    """Every campaign's service runs over the gateway's one search engine:
+    own clock, ledger and transport, shared (topic, date) churn state."""
+
+    def _spy(self, monkeypatch, name, record):
+        real = getattr(ChurnProcess, name)
+
+        def spy(process, *args):
+            record(process, *args)
+            return real(process, *args)
+
+        monkeypatch.setattr(ChurnProcess, name, spy)
+
+    def _fresh_sha256(self, daemon, orch_world, orch_spec, tmp_path, **shape):
+        """The campaign's digest from its own ``build_service``, no daemon."""
+        path = tmp_path / "fresh-{collections}x{interval_days}.jsonl".format(**shape)
+        service = build_service(orch_world, seed=SEED, specs=(orch_spec,))
+        run_campaign(
+            daemon._campaign_config(**shape), YouTubeClient(service),
+            checkpoint_path=path,
+        )
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_same_config_runs_churn_once_per_topic_and_date(
+        self, stack, orch_world, orch_spec, tmp_path, monkeypatch
+    ):
+        calls = []
+        self._spy(monkeypatch, "latent_at", lambda process, when: calls.append(
+            (process._spec.key, when.date().isoformat())
+        ))
+        gateway, daemon = stack
+        keys = [gateway.mint_key(daily_limit=10_000) for _ in range(2)]
+        daemon.start()
+        cids = [
+            daemon.submit(key.credential, collections=2)["campaignId"]
+            for key in keys
+        ]
+        assert daemon.wait_idle(timeout=60)
+        daemon.drain()
+        # One engine: the second campaign reads the first one's states.
+        assert sorted(calls) == [
+            (orch_spec.key, "2025-02-09"), (orch_spec.key, "2025-02-14"),
+        ]
+        digests = {daemon.result_sha256(cid) for cid in cids}
+        assert digests == {self._fresh_sha256(
+            daemon, orch_world, orch_spec, tmp_path,
+            collections=2, interval_days=5,
+        )}
+
+    def test_interleaved_cadences_cold_start_each_lane_once(
+        self, stack, orch_world, orch_spec, tmp_path, monkeypatch
+    ):
+        cold_starts = []
+        self._spy(monkeypatch, "_cold_start", lambda process, lane, day: (
+            cold_starts.append((process._spec.key, lane, day))
+        ))
+        gateway, daemon = stack
+        key_a = gateway.mint_key(daily_limit=10_000)
+        key_b = gateway.mint_key(daily_limit=10_000)
+        daemon.start()
+        cid_a = daemon.submit(
+            key_a.credential, collections=3, interval_days=5
+        )["campaignId"]
+        cid_b = daemon.submit(
+            key_b.credential, collections=3, interval_days=7
+        )["campaignId"]
+        assert daemon.wait_idle(timeout=60)
+        daemon.drain()
+        # 1 topic x 2 lanes, at the shared first date; every later date
+        # advances from the cursor or the anchor, whatever the interleaving.
+        assert sorted(lane for _, lane, _ in cold_starts) == ["fast", "slow"]
+        assert len({day for _, _, day in cold_starts}) == 1
+        for cid, interval in ((cid_a, 5), (cid_b, 7)):
+            assert daemon.result_sha256(cid) == self._fresh_sha256(
+                daemon, orch_world, orch_spec, tmp_path,
+                collections=3, interval_days=interval,
+            )
+
+    def test_gateway_job_result_is_unchanged(self, orch_world, orch_spec):
+        from repro.core.experiments import paper_campaign_config
+        from repro.util.timeutil import format_rfc3339
+
+        gateway = make_gateway(orch_world, orch_spec)
+        try:
+            key = gateway.mint_key(daily_limit=10**6, researcher=True)
+            jobs = [
+                gateway.submit_campaign(
+                    key.credential, collections=2, interval_days=interval
+                )
+                for interval in (5, 7)
+            ]
+            for job in jobs:
+                assert job.wait(timeout=120)
+                assert job.status == "done", job.error
+                service = build_service(
+                    orch_world, seed=SEED, specs=(orch_spec,),
+                    quota_policy=key.policy,
+                )
+                config = dataclasses.replace(
+                    paper_campaign_config(topics=(orch_spec,), with_comments=False),
+                    n_scheduled=2, interval_days=job.interval_days,
+                    skipped_indices=frozenset(), comment_snapshot_indices=(),
+                )
+                campaign = run_campaign(config, YouTubeClient(service))
+                assert job.result == {
+                    "collections": campaign.n_collections,
+                    "quotaUnits": service.quota.total_used,
+                    "topics": {
+                        topic: len(campaign.ever_returned(topic))
+                        for topic in campaign.topic_keys
+                    },
+                    "collectedAt": [
+                        format_rfc3339(snap.collected_at)
+                        for snap in campaign.snapshots
+                    ],
+                }
+                assert job.quota_units == service.quota.total_used
+        finally:
+            gateway.close()
+
+    def test_reference_bytes_come_from_another_engine(
+        self, orch_world, orch_spec, monkeypatch
+    ):
+        engines = []
+        real = SearchBehaviorEngine.execute
+
+        def spy(engine, *args, **kwargs):
+            engines.append(engine)
+            return real(engine, *args, **kwargs)
+
+        monkeypatch.setattr(SearchBehaviorEngine, "execute", spy)
+        gateway = make_gateway(orch_world, orch_spec)
+        try:
+            key = gateway.mint_key(daily_limit=10_000)
+            params = {
+                "part": "snippet", "q": orch_spec.query,
+                "asOf": "2025-02-09T00:00:00Z",
+            }
+            served, _ = gateway.search_list(key.credential, params)
+            assert engines == [gateway.service.engine]
+            assert gateway.reference_search_bytes(params) == served
+            assert len(engines) == 2
+            assert engines[1] is not gateway.service.engine
+            # A campaign's service shares the warm engine; the oracle does not.
+            assert gateway.campaign_service(key.policy).engine is engines[0]
+        finally:
+            gateway.close()

@@ -20,6 +20,7 @@ here in isolation (the daemon tests then prove the composition):
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -96,6 +97,34 @@ class TestJournalAppendReplay:
         assert journal.appends_since_compact == 2  # writes, not records
         journal.close()
         assert journal.replay_records()[1:] == group
+
+    def test_creating_the_journal_fsyncs_the_workdir_once(
+        self, tmp_path, monkeypatch
+    ):
+        workdir = os.stat(tmp_path)
+        synced = []
+        real_fsync = os.fsync
+
+        def spy(fd):
+            st = os.fstat(fd)
+            is_workdir = (st.st_dev, st.st_ino) == (workdir.st_dev, workdir.st_ino)
+            synced.append("workdir" if is_workdir else "file")
+            real_fsync(fd)
+
+        monkeypatch.setattr("repro.orchestrator.journal.os.fsync", spy)
+        journal = Journal(tmp_path)
+        journal.append(_submit())
+        assert synced == ["workdir", "file"]  # the new name, then the data
+        journal.append(_bin("c0001", 0, 0))
+        assert synced == ["workdir", "file", "file"]
+        journal.close()
+        # A restart appends to the existing file: no directory fsync.
+        restarted = Journal(tmp_path)
+        restarted.recover()
+        synced.clear()
+        restarted.append(_bin("c0001", 0, 1))
+        assert synced == ["file"]
+        restarted.close()
 
     def test_restart_after_torn_tail_keeps_the_next_record(self, tmp_path):
         journal = Journal(tmp_path)

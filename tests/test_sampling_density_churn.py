@@ -176,16 +176,19 @@ class TestChurnProcess:
 # -- the churn state against an independent day-0 replay -----------------------
 
 FIRST_COLLECTION = datetime(2025, 2, 9, tzinfo=UTC)
-#: Query order: the first collection (a cold start), two forward advances, a
-#: backward date (a second cold start) and a pre-epoch date (day 0).
+#: Query order: the first collection (a cold start, and the anchor), two
+#: forward advances, a date behind the cursor but after the anchor (advanced
+#: from the anchor), a date before the anchor (a second cold start) and a
+#: pre-epoch date (day 0).
 QUERIES = (
     FIRST_COLLECTION,
     FIRST_COLLECTION + timedelta(days=5),
     FIRST_COLLECTION + timedelta(days=80),
+    FIRST_COLLECTION + timedelta(days=40),
     FIRST_COLLECTION - timedelta(days=30),
     datetime(2000, 1, 1, tzinfo=UTC),
 )
-COLD_STARTS = (QUERIES[0], QUERIES[3])
+COLD_STARTS = (QUERIES[0], QUERIES[4])
 
 
 def _replay(spec, n: int, seed: int, whens) -> list[np.ndarray]:
@@ -293,6 +296,53 @@ class TestChurnExactness:
             if not (lane == "slow" and key in slow_replays)
         }
 
+    def test_date_behind_the_cursor_advances_from_the_anchor(self, paper_churn):
+        _, states, calls = paper_churn
+        for spec, _ in states.values():
+            day = day_index(spec.window_end, QUERIES[3])
+            assert not [c for c in calls if c[0] == spec.key and c[2] == day]
+
+    def test_gap_beyond_the_horizon_cold_starts(self, monkeypatch):
+        # From day 0, the first collection is 1,707 days on: past both of
+        # BLM's lane horizons (1,657 and 247 days), so each lane couples
+        # instead of advancing from day 0's state.
+        calls: list = []
+        _spy_paths(monkeypatch, calls)
+        spec = scale_topic(topic_by_key("blm"), 0.05)
+        process = ChurnProcess(spec, spec.n_videos, 7)
+        whens = [datetime(2000, 1, 1, tzinfo=UTC), FIRST_COLLECTION]
+        got = [process.latent_at(w) for w in whens]
+        day = day_index(spec.window_end, FIRST_COLLECTION)
+        assert day > churn._coupling_days(daily_rho(spec.churn_volatility))
+        assert calls == [
+            ("blm", "slow", 0, "replay"),
+            ("blm", "fast", 0, "replay"),
+            ("blm", "slow", day, "coupled"),
+            ("blm", "fast", day, "coupled"),
+        ]
+        for g, expected in zip(got, _replay(spec, spec.n_videos, 7, whens)):
+            _assert_bitwise_equal(g, expected)
+
+    def test_interleaved_cadences_cold_start_once(self, monkeypatch):
+        # Two campaigns on 5- and 7-day cadences sharing one process: every
+        # date at or after the first advances from the cursor or the anchor.
+        calls: list = []
+        _spy_paths(monkeypatch, calls)
+        spec = scale_topic(topic_by_key("brexit"), 0.05)
+        process = ChurnProcess(spec, spec.n_videos, 7)
+        whens = [
+            FIRST_COLLECTION + timedelta(days=days)
+            for pair in zip(range(0, 30, 5), range(0, 42, 7))
+            for days in pair
+        ]
+        got = [process.latent_at(w) for w in whens]
+        day = day_index(spec.window_end, FIRST_COLLECTION)
+        assert [c[1:] for c in calls] == [
+            ("slow", day, "coupled"), ("fast", day, "coupled"),
+        ]
+        for g, expected in zip(got, _replay(spec, spec.n_videos, 7, whens)):
+            _assert_bitwise_equal(g, expected)
+
     def test_short_horizon_falls_back_to_replay(self, monkeypatch):
         calls: list = []
         _spy_paths(monkeypatch, calls)
@@ -313,7 +363,7 @@ class TestChurnExactness:
     def test_edge_cases_match_replay(self, n, volatility):
         spec = dataclasses.replace(topic_by_key("grammys"), churn_volatility=volatility)
         process = ChurnProcess(spec, n, 20250209)
-        whens = QUERIES[:4]
+        whens = QUERIES[:5]
         got = [process.latent_at(w) for w in whens]
         for g, expected in zip(got, _replay(spec, n, 20250209, whens)):
             _assert_bitwise_equal(g, expected)
