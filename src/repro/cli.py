@@ -14,7 +14,6 @@ Subcommands::
     python -m repro replication --seeds 101 202 303
     python -m repro obs report  trace.jsonl
     python -m repro chaos       --scenario burst-500s
-    python -m repro bench       --scenario reduced
     python -m repro serve       --scale 0.3 --port 8080 --mint 2
     python -m repro loadgen     --requests 100 --concurrency 8
     python -m repro orchestrate --workdir orch/ --demo 3
@@ -153,19 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--collections", type=int, default=2)
     chaos.add_argument("--trace", metavar="PATH", default=None,
                        help="export the faulted run's observability trace")
-
-    bench = sub.add_parser(
-        "bench", help="time the campaign fast path and write BENCH_campaign.json"
-    )
-    from repro.core.benchmark import SCENARIOS as _BENCH_SCENARIOS
-
-    bench.add_argument("--scenario", action="append",
-                       choices=tuple(sorted(_BENCH_SCENARIOS)),
-                       help="scenario(s) to run (default: all)")
-    bench.add_argument("--seed", type=int, default=None,
-                       help="override the benchmark seed")
-    bench.add_argument("--out", metavar="PATH", default="BENCH_campaign.json")
-    bench.add_argument("--quiet", action="store_true")
 
     serve = sub.add_parser(
         "serve", help="run the multi-tenant simulator service (see docs/SERVICE.md)"
@@ -546,23 +532,6 @@ def _cmd_chaos(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_bench(args) -> int:
-    from repro.core.benchmark import format_report, run_benchmark, write_report
-
-    kwargs = {}
-    if args.scenario:
-        kwargs["names"] = tuple(args.scenario)
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if not args.quiet:
-        kwargs["progress"] = lambda m: print(m, file=sys.stderr)
-    report = run_benchmark(**kwargs)
-    path = write_report(report, args.out)
-    print(format_report(report))
-    print(f"wrote {path}")
-    return 0
-
-
 def _cmd_serve(args) -> int:
     import asyncio
 
@@ -823,7 +792,6 @@ _COMMANDS = {
     "replication": _cmd_replication,
     "obs": _cmd_obs,
     "chaos": _cmd_chaos,
-    "bench": _cmd_bench,
     "serve": _cmd_serve,
     "loadgen": _cmd_loadgen,
     "orchestrate": _cmd_orchestrate,

@@ -21,8 +21,8 @@ Layers (each usable on its own):
   campaign jobs.  This is also the byte-identity reference surface;
 * :mod:`repro.serve.http` — :class:`SimulatorServer`, the stdlib-asyncio
   HTTP/1.1 front end (no framework);
-* :mod:`repro.serve.loadgen` — the load-generator harness behind
-  ``repro loadgen`` and the ``service`` benchmark scenarios.
+* :mod:`repro.serve.loadgen` — the load generator behind
+  ``repro loadgen`` and ``make serve-smoke``.
 
 See ``docs/SERVICE.md`` for the endpoint reference and quickstart.
 """

@@ -530,9 +530,10 @@ def build_gateway(
 ) -> SimulatorGateway:
     """Build the shared warm world and a gateway over it in one call.
 
-    Pass ``world``/``specs`` to reuse an already-built world (tests, the
-    benchmark harness); otherwise the paper's topics are scaled and built
-    here — the slow part of server startup.
+    Pass ``world``/``specs`` to reuse an already-built world (tests), or
+    ``specs`` alone to build a world over chosen topics (the ``durable``
+    benchmark workload); otherwise the paper's topics are scaled and
+    built here — the slow part of server startup.
     """
     from repro.world.corpus import build_world, scale_topics
     from repro.world.topics import paper_topics

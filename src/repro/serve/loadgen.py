@@ -4,8 +4,8 @@ A minimal asyncio HTTP/1.1 client (``asyncio.open_connection``, one
 request per connection — the server answers ``Connection: close``) drives
 a burst of ``search.list`` requests against a running
 :class:`~repro.serve.http.SimulatorServer` and reports latency
-percentiles and throughput.  This is the engine behind ``repro loadgen``,
-``tools/bench_service.py``, and the ``make serve-smoke`` gate.
+percentiles and throughput.  This is the engine behind ``repro loadgen``
+and the ``make serve-smoke`` gate (``tools/serve_smoke.py``).
 
 Two entry points:
 

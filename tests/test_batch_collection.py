@@ -53,23 +53,24 @@ def tiny_world(tiny_specs):
     return build_world(tiny_specs, seed=SEED)
 
 
-def _campaign_config(specs):
+def _campaign_config(specs, comment_snapshot_indices=()):
     return dataclasses.replace(
         paper_campaign_config(topics=specs),
         n_scheduled=COLLECTIONS,
         skipped_indices=frozenset(),
-        comment_snapshot_indices=(),
+        comment_snapshot_indices=comment_snapshot_indices,
     )
 
 
-def _run(world, specs, tmp_path, name, **kwargs):
+def _run(world, specs, tmp_path, name, comment_snapshot_indices=(), **kwargs):
     """One campaign run; returns (file bytes, usage-by-day, call count)."""
     service = build_service(
         world, seed=SEED, specs=specs,
         quota_policy=QuotaPolicy(researcher_program=True),
     )
     campaign = run_campaign(
-        _campaign_config(specs), YouTubeClient(service), **kwargs
+        _campaign_config(specs, comment_snapshot_indices),
+        YouTubeClient(service), **kwargs,
     )
     path = tmp_path / f"{name}.jsonl"
     campaign.save(path)
@@ -94,6 +95,19 @@ class TestCampaignIdentity:
     ):
         got = _run(tiny_world, tiny_specs, tmp_path, "batch", engine="batch")
         assert got == percall_run
+
+    def test_comment_sweeps_are_byte_identical(
+        self, tiny_world, tiny_specs, tmp_path, percall_run
+    ):
+        """With the paper's comment sweeps on the first and last
+        collections, as ``paper_campaign_config`` schedules them."""
+        batch, percall = (
+            _run(tiny_world, tiny_specs, tmp_path, engine, engine=engine,
+                 comment_snapshot_indices=(0, COLLECTIONS - 1))
+            for engine in ENGINES
+        )
+        assert batch == percall
+        assert batch[2] > percall_run[2]  # the sweeps made comment calls
 
     def test_unknown_engine_rejected(self, session_client, small_specs):
         with pytest.raises(ValueError, match="unknown engine"):

@@ -1,7 +1,7 @@
 """Columnar world builder: recorded world digests, lazy-cache identity,
 stream-exact deletion parsing, the store and the sampling engine's arrays
-against brute-force references, and the ``world.build`` observability
-event.
+against brute-force references, the census of a world above paper scale,
+and the ``world.build`` observability event.
 
 ``tests/golden/world_digests.json`` pins, for each (seed, scale,
 with_comments) built here, the sha256 of the canonical JSON of every
@@ -485,17 +485,15 @@ class TestWorldBuildEvent:
         assert "World builds" in observer.report()
 
 
-class TestBenchScenarioWorldKind:
-    def test_world_kind_allows_big_scales(self):
-        from repro.core.benchmark import PRIMARY_METRIC, BenchScenario
-
-        assert PRIMARY_METRIC["world"] == "world_build_s"
-        big = BenchScenario(scale=100.0, collections=1, kind="world")
-        assert big.scale == 100.0
-        with pytest.raises(ValueError):
-            BenchScenario(scale=0.0, collections=1, kind="world")
-        with pytest.raises(ValueError):
-            BenchScenario(scale=2.0, collections=1, kind="campaign")
+class TestAbovePaperScale:
+    def test_double_scale_world_census(self):
+        """Scales above 1 grow the world past the paper's corpus; the 2x
+        build and the store's forced census are pinned."""
+        world = build_world(scale_topics(paper_topics(), 2.0), seed=SEED)
+        assert PlatformStore(world).summary() == {
+            "videos": 15_030, "channels": 4_680, "tokens": 3_792,
+            "threads": 60_606,
+        }
 
 
 class TestRegressionCorpusFeed:
