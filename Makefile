@@ -1,9 +1,12 @@
 # Repository verification targets.
 #
-#   make verify       tier-1 tests + benchmark-harness tests + doc link check
-#                     + chaos run + serve/orchestrator/spill smokes + fast
-#                     coverage gate
+#   make verify       tier-1 tests + benchmark-harness tests + paper-scale
+#                     artifacts + doc link check + chaos run +
+#                     serve/orchestrator/spill smokes + fast coverage gate
 #   make test         tier-1 test suite only
+#   make artifacts    the paper-scale table/figure suite (benchmarks/, scale
+#                     1.0, seed 20250209), then fail if any rendered artifact
+#                     under benchmarks/output differs from the committed one
 #   make perfbench-test  the repository benchmark harness's own tests
 #                     (perfbench/tests): every workload emits every metric
 #                     BENCHMARK.json names, and the span wrappers still
@@ -28,17 +31,21 @@
 
 PYTHON ?= python
 
-.PHONY: verify test perfbench-test doclinks chaos bench serve-smoke \
+.PHONY: verify test perfbench-test artifacts doclinks chaos bench serve-smoke \
 	orchestrator-smoke spill-smoke coverage coverage-fast
 
-verify: test perfbench-test doclinks chaos serve-smoke orchestrator-smoke \
-	spill-smoke coverage-fast
+verify: test perfbench-test artifacts doclinks chaos serve-smoke \
+	orchestrator-smoke spill-smoke coverage-fast
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
 perfbench-test:
 	PYTHONPATH=src $(PYTHON) -m pytest perfbench/tests -q
+
+artifacts:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks --benchmark-disable -q
+	git diff --exit-code -- benchmarks/output
 
 doclinks:
 	$(PYTHON) tools/check_doc_links.py

@@ -113,11 +113,10 @@ class YouTubeService:
                 f"exceeds remaining quota on {day}"
             )
         now = self.clock.now()
-        records = iter(self.transport.observe_many(endpoint, now, cost, calls))
+        latencies = iter(self.transport.observe_many(endpoint, now, cost, calls))
 
         def emit_call() -> None:
-            record = next(records)
-            self.observer.on_api_call(endpoint, now, record.units, record.latency_ms)
+            self.observer.on_api_call(endpoint, now, cost, next(latencies))
 
         self.quota.charge_many(endpoint, day, calls, after_each=emit_call)
         return now

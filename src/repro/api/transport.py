@@ -4,7 +4,11 @@ The transport layer sits underneath every endpoint call.  It gives the
 repository three things a real measurement pipeline has to contend with:
 
 * a complete request log (endpoint, virtual timestamp, quota units) for
-  cost accounting and methodological bookkeeping;
+  cost accounting and methodological bookkeeping — kept as four columns
+  and read through :class:`RequestLog`, a read-only sequence of
+  :class:`RequestRecord` values built on access, so a paper-scale
+  campaign's 73k calls are four lists, not 73k objects the garbage
+  collector walks;
 * a latency model, so strategies can also be compared on wall-clock cost
   (simulated — nothing sleeps);
 * optional transient fault injection to exercise client retry logic.
@@ -13,6 +17,8 @@ repository three things a real measurement pipeline has to contend with:
 from __future__ import annotations
 
 import threading
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -21,7 +27,9 @@ import numpy as np
 from repro.api.errors import TransientServerError
 from repro.util.rng import SeedBank
 
-__all__ = ["RequestRecord", "Transport", "LatencyModel", "FaultInjector"]
+__all__ = [
+    "RequestRecord", "RequestLog", "Transport", "LatencyModel", "FaultInjector",
+]
 
 
 @dataclass(frozen=True)
@@ -94,79 +102,113 @@ class FaultInjector:
 # Latency never feeds collected data, only the simulated wall clock.
 
 
+class RequestLog(Sequence):
+    """Read-only view of a transport's request log.
+
+    Supports ``len``, indexing (negative indices too) and iteration;
+    each item is a :class:`RequestRecord` built from the transport's
+    columns on access.  A row is complete once its latency, the column
+    appended last, is in place, so ``len`` reads that column and a
+    reader never sees a half-appended row.
+    """
+
+    __slots__ = ("_transport",)
+
+    def __init__(self, transport: "Transport") -> None:
+        self._transport = transport
+
+    def __len__(self) -> int:
+        return len(self._transport._latencies)
+
+    def __getitem__(self, index: int) -> RequestRecord:
+        n = len(self)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("request log index out of range")
+        t = self._transport
+        return RequestRecord(
+            index, t._endpoints[index], t._ats[index], t._units[index],
+            t._latencies[index],
+        )
+
+    def __iter__(self):
+        t = self._transport
+        # zip stops at the latency column, so rows are always complete.
+        rows = zip(t._endpoints, t._ats, t._units, t._latencies)
+        for sequence, (endpoint, at, units, latency) in enumerate(rows):
+            yield RequestRecord(sequence, endpoint, at, units, latency)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (RequestLog, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 @dataclass
 class Transport:
     """Collects request records and applies latency/fault models."""
 
     latency: LatencyModel = field(default_factory=LatencyModel)
     faults: FaultInjector = field(default_factory=FaultInjector)
-    records: list[RequestRecord] = field(default_factory=list)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
+
+    def __post_init__(self) -> None:
+        self._lock = threading.Lock()
+        # The request log, one column per RequestRecord field; the sequence
+        # number is the row index.  Appends fill _latencies last.
+        self._endpoints: list[str] = []
+        self._ats: list[datetime] = []
+        self._units: list[int] = []
+        self._latencies: list[float] = []
+
+    @property
+    def records(self) -> RequestLog:
+        """Every completed call, in order (a read-only view)."""
+        return RequestLog(self)
 
     def observe(self, endpoint: str, at: datetime, units: int) -> RequestRecord:
         """Record one call (after fault injection has passed)."""
         with self._lock:
-            record = RequestRecord(
-                sequence=len(self.records),
-                endpoint=endpoint,
-                at=at,
-                units=units,
-                latency_ms=self.latency.draw(),
-            )
-            self.records.append(record)
-            return record
+            sequence = len(self._latencies)
+            latency = self.latency.draw()
+            self._endpoints.append(endpoint)
+            self._ats.append(at)
+            self._units.append(units)
+            self._latencies.append(latency)
+        return RequestRecord(sequence, endpoint, at, units, latency)
 
     def observe_many(
         self, endpoint: str, at: datetime, units: int, count: int
-    ) -> list[RequestRecord]:
+    ) -> list[float]:
         """Record ``count`` identical calls under one lock acquisition.
 
         The batched sweep path knows its page count up front; appending
-        the records in bulk produces the same sequence numbers, latencies
+        the rows in bulk produces the same sequence numbers, latencies
         (see :meth:`LatencyModel.draw_many`), and timestamps as ``count``
         :meth:`observe` calls would on the serial path, where nothing can
-        interleave between them.
+        interleave between them.  Returns the calls' latencies, in order.
         """
         with self._lock:
-            # tolist() yields Python floats directly, skipping one
-            # np.float64 box + float() call per record.
             latencies = self.latency.draw_many(count).tolist()
-            base = len(self.records)
-            # Bulk allocation bypasses the frozen-dataclass __init__ (five
-            # object.__setattr__ calls per record, ~2x the cost of filling
-            # __dict__ directly); field values, equality, hash, and repr
-            # are exactly what the constructor produces.
-            new_record = RequestRecord.__new__
-            new: list[RequestRecord] = []
-            append = new.append
-            for i, latency in enumerate(latencies):
-                record = new_record(RequestRecord)
-                record.__dict__.update(
-                    sequence=base + i,
-                    endpoint=endpoint,
-                    at=at,
-                    units=units,
-                    latency_ms=latency,
-                )
-                append(record)
-            self.records.extend(new)
-            return new
+            self._endpoints.extend([endpoint] * count)
+            self._ats.extend([at] * count)
+            self._units.extend([units] * count)
+            self._latencies.extend(latencies)
+        return latencies
 
     @property
     def total_calls(self) -> int:
         """Number of calls that completed."""
-        return len(self.records)
+        return len(self._latencies)
 
     @property
     def total_latency_ms(self) -> float:
         """Sum of simulated latencies (sequential-execution wall clock)."""
-        return sum(r.latency_ms for r in self.records)
+        return sum(self._latencies)
 
     def calls_by_endpoint(self) -> dict[str, int]:
         """Histogram of completed calls per endpoint."""
-        out: dict[str, int] = {}
-        for record in self.records:
-            out[record.endpoint] = out.get(record.endpoint, 0) + 1
-        return out
+        n = len(self._latencies)
+        return dict(Counter(self._endpoints[:n]))

@@ -244,17 +244,29 @@ class SnapshotCollector:
         if swept_bins and self._partial is not None:
             self._partial.record_hours(spec.key, swept_bins)
 
+        # The captures are built as plain dicts and captured as text once,
+        # when the snapshot is constructed.
+        video_meta: dict[str, dict] = {}
+        channel_meta: dict[str, dict] = {}
+        comments: dict[str, dict] = {}
+        if self._collect_metadata or with_comments:
+            video_ids = sorted(
+                {vid for ids in hour_video_ids.values() for vid in ids}
+            )
+            if self._collect_metadata:
+                video_meta, channel_meta = self._fetch_metadata(video_ids)
+            if with_comments:
+                comments = self._fetch_comments(video_ids)
         snapshot = TopicSnapshot(
             topic=spec.key,
             collected_at=collected_at,
             hour_video_ids=hour_video_ids,
             pool_sizes=pool_sizes,
+            video_meta=video_meta,
+            channel_meta=channel_meta,
+            comments=comments,
             missing_hours=missing_hours,
         )
-        if self._collect_metadata:
-            self._attach_metadata(snapshot)
-        if with_comments:
-            self._attach_comments(snapshot)
         self._observer.on_topic_end(
             spec.key,
             service.clock.now(),
@@ -325,27 +337,32 @@ class SnapshotCollector:
                 self._observer.on_search_query(pages, len(ids))
                 return ids, pool
 
-    def _attach_metadata(self, snapshot: TopicSnapshot) -> None:
+    def _fetch_metadata(
+        self, video_ids: list[str]
+    ) -> tuple[dict[str, dict], dict[str, dict]]:
         """Videos:list then Channels:list for everything this topic returned."""
-        ids = sorted(snapshot.video_ids)
-        if not ids:
-            return
-        for resource in self._client.videos_list(ids):
-            snapshot.video_meta[resource["id"]] = resource
+        video_meta: dict[str, dict] = {}
+        channel_meta: dict[str, dict] = {}
+        if not video_ids:
+            return video_meta, channel_meta
+        for resource in self._client.videos_list(video_ids):
+            video_meta[resource["id"]] = resource
         channel_ids = sorted(
-            {r["snippet"]["channelId"] for r in snapshot.video_meta.values()}
+            {r["snippet"]["channelId"] for r in video_meta.values()}
         )
         for resource in self._client.channels_list(channel_ids):
-            snapshot.channel_meta[resource["id"]] = resource
+            channel_meta[resource["id"]] = resource
+        return video_meta, channel_meta
 
-    def _attach_comments(self, snapshot: TopicSnapshot) -> None:
+    def _fetch_comments(self, video_ids: list[str]) -> dict[str, dict]:
         """Full comment capture for every returned video.
 
         Threads give the top-level comments plus up to five inline replies;
         threads reporting more replies than were inlined are completed via
         Comments:list, as Appendix B.2 describes.
         """
-        for video_id in sorted(snapshot.video_ids):
+        comments: dict[str, dict] = {}
+        for video_id in video_ids:
             try:
                 threads = self._client.comment_threads_all(video_id)
             except (NotFoundError, ForbiddenError):
@@ -360,7 +377,5 @@ class SnapshotCollector:
                     replies.extend(self._client.comment_replies_all(thread["id"]))
                 else:
                     replies.extend(inline)
-            snapshot.comments[video_id] = {
-                "top_level": top_level,
-                "replies": replies,
-            }
+            comments[video_id] = {"top_level": top_level, "replies": replies}
+        return comments

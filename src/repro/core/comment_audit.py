@@ -18,6 +18,7 @@ as endpoint inconsistency.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import timedelta
 
@@ -43,21 +44,38 @@ class CommentAuditRow:
     n_shared_videos: int
 
 
+def _comment_ids_by_video(
+    comments: Mapping[str, dict], videos: set[str], cutoff
+) -> dict[str, dict[str, set[str]]]:
+    """Per captured video, each lane's comment IDs posted by ``cutoff``.
+
+    Every payload is parsed once, however many sets it feeds.
+    """
+    out: dict[str, dict[str, set[str]]] = {}
+    for video_id in videos:
+        if video_id not in comments:
+            continue
+        payload = comments[video_id]
+        out[video_id] = {
+            lane: {
+                resource["id"]
+                for resource in payload.get(lane, ())
+                if parse_rfc3339(resource["snippet"]["publishedAt"]) <= cutoff
+            }
+            for lane in ("top_level", "replies")
+        }
+    return out
+
+
 def _comment_ids(
-    snapshot_comments: dict[str, dict],
-    videos: set[str],
-    lane: str,
-    cutoff,
+    by_video: dict[str, dict[str, set[str]]], videos: set[str], lane: str
 ) -> set[str]:
+    """One lane's comment IDs over ``videos``."""
     out: set[str] = set()
     for video_id in videos:
-        payload = snapshot_comments.get(video_id)
-        if payload is None:
-            continue
-        for resource in payload.get(lane, ()):
-            published = parse_rfc3339(resource["snippet"]["publishedAt"])
-            if published <= cutoff:
-                out.add(resource["id"])
+        lanes = by_video.get(video_id)
+        if lanes is not None:
+            out |= lanes[lane]
     return out
 
 
@@ -92,15 +110,19 @@ def comment_audit(
     last_videos = last.video_ids
     shared = first_videos & last_videos
 
-    tl_first_ns = _comment_ids(first.comments, first_videos, "top_level", cutoff)
-    tl_last_ns = _comment_ids(last.comments, last_videos, "top_level", cutoff)
-    n_first_ns = _comment_ids(first.comments, first_videos, "replies", cutoff)
-    n_last_ns = _comment_ids(last.comments, last_videos, "replies", cutoff)
+    # shared is a subset of both video sets, so these cover every lookup.
+    first_ids = _comment_ids_by_video(first.comments, first_videos, cutoff)
+    last_ids = _comment_ids_by_video(last.comments, last_videos, cutoff)
 
-    tl_first_s = _comment_ids(first.comments, shared, "top_level", cutoff)
-    tl_last_s = _comment_ids(last.comments, shared, "top_level", cutoff)
-    n_first_s = _comment_ids(first.comments, shared, "replies", cutoff)
-    n_last_s = _comment_ids(last.comments, shared, "replies", cutoff)
+    tl_first_ns = _comment_ids(first_ids, first_videos, "top_level")
+    tl_last_ns = _comment_ids(last_ids, last_videos, "top_level")
+    n_first_ns = _comment_ids(first_ids, first_videos, "replies")
+    n_last_ns = _comment_ids(last_ids, last_videos, "replies")
+
+    tl_first_s = _comment_ids(first_ids, shared, "top_level")
+    tl_last_s = _comment_ids(last_ids, shared, "top_level")
+    n_first_s = _comment_ids(first_ids, shared, "replies")
+    n_last_s = _comment_ids(last_ids, shared, "replies")
 
     return CommentAuditRow(
         topic=spec.key,

@@ -6,6 +6,15 @@ snapshot holds, per topic, the hour-binned search returns, the
 raw comment captures.  The analysis modules consume these containers only —
 they never touch the API — so persisted campaigns can be re-analyzed
 offline, exactly like a real measurement study's data directory.
+
+The captured resources (``video_meta``, ``channel_meta``, ``comments``)
+are :class:`~repro.util.jsonio.CapturedResources`: read-only mappings
+that hold each resource as JSON text and parse it on access, so a
+campaign's captures stay off the garbage collector's heap.  A plain dict
+passed at construction is captured as canonical text there.
+:meth:`CampaignResult.save` splices the texts into its lines and
+:meth:`CampaignResult.load` keeps each resource's text as the file holds
+it, so a file ``save`` wrote round-trips byte for byte.
 """
 
 from __future__ import annotations
@@ -14,10 +23,21 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 
-from repro.util.jsonio import read_jsonl, write_jsonl
+from repro.util.jsonio import (
+    CAPTURED_FIELDS,
+    CapturedResources,
+    read_records,
+    write_jsonl,
+)
 from repro.util.timeutil import format_rfc3339, parse_rfc3339
 
-__all__ = ["TopicSnapshot", "Snapshot", "CampaignResult", "campaign_records"]
+__all__ = [
+    "TopicSnapshot",
+    "Snapshot",
+    "CampaignResult",
+    "CapturedResources",
+    "campaign_records",
+]
 
 
 @dataclass
@@ -31,11 +51,11 @@ class TopicSnapshot:
     #: totalResults reported by each hourly query, indexed by hour
     pool_sizes: dict[int, int]
     #: video ID -> Videos:list resource (may be missing for gapped IDs)
-    video_meta: dict[str, dict] = field(default_factory=dict)
+    video_meta: CapturedResources = field(default_factory=CapturedResources)
     #: channel ID -> Channels:list resource
-    channel_meta: dict[str, dict] = field(default_factory=dict)
+    channel_meta: CapturedResources = field(default_factory=CapturedResources)
     #: video ID -> {"top_level": [comment resources], "replies": [...]}
-    comments: dict[str, dict] = field(default_factory=dict)
+    comments: CapturedResources = field(default_factory=CapturedResources)
     #: hour indices whose queries failed permanently (degraded collection);
     #: empty for a complete snapshot — the overwhelmingly common case.
     missing_hours: list[int] = field(default_factory=list)
@@ -45,6 +65,11 @@ class TopicSnapshot:
         # sorted; normalizing the in-memory form too makes save -> load a
         # true round trip (every consumer treats the field as a set).
         self.missing_hours = sorted(self.missing_hours)
+        # One representation: captures passed as plain dicts become text.
+        for name in CAPTURED_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, CapturedResources):
+                setattr(self, name, CapturedResources(value))
 
     @property
     def degraded(self) -> bool:
@@ -131,18 +156,18 @@ class CampaignResult:
             out |= snap.video_ids(key)
         return out
 
-    def merged_video_meta(self, key: str) -> dict[str, dict]:
+    def merged_video_meta(self, key: str) -> CapturedResources:
         """Per-video metadata, first-seen-wins across collections.
 
         The Videos:list endpoint occasionally gaps a video in one
         collection; merging across snapshots recovers near-complete
         coverage, which is how the paper assembles its regression features.
         """
-        merged: dict[str, dict] = {}
+        merged: dict[str, str] = {}
         for snap in self.snapshots:
-            for vid, resource in snap.topic(key).video_meta.items():
-                merged.setdefault(vid, resource)
-        return merged
+            for vid, text in snap.topic(key).video_meta.text_items():
+                merged.setdefault(vid, text)
+        return CapturedResources.from_texts(merged)
 
     # -- persistence ---------------------------------------------------------
 
@@ -161,10 +186,15 @@ class CampaignResult:
 
     @classmethod
     def load(cls, path: str | Path) -> "CampaignResult":
-        """Read a campaign persisted with :meth:`save`."""
+        """Read a campaign persisted with :meth:`save`.
+
+        Each captured resource keeps the text the file holds: a file
+        :meth:`save` wrote saves again byte for byte, and a foreign file
+        keeps its own formatting inside resources.
+        """
         topic_keys: tuple[str, ...] = ()
         by_index: dict[int, Snapshot] = {}
-        for record in read_jsonl(path):
+        for record in read_records(path):
             if record["kind"] == "header":
                 topic_keys = tuple(record["topic_keys"])
                 continue
@@ -195,7 +225,9 @@ def campaign_records(topic_keys, snapshots):
     A generator so stores that hold snapshots out of core (the spill
     store) can export the legacy format byte-identically without ever
     materializing the whole campaign; ``snapshots`` may be any iterable
-    of :class:`Snapshot` in collection order.
+    of :class:`Snapshot` in collection order.  The captured resources go
+    out as :class:`CapturedResources`, which
+    :func:`~repro.util.jsonio.encode_record` splices as text.
     """
     yield {"kind": "header", "topic_keys": list(topic_keys)}
     for snap in snapshots:

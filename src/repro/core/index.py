@@ -20,7 +20,8 @@ questions half a dozen times.
   mask degraded hour bins without re-touching the raw per-hour dicts;
 * columnar regression metadata (duration, definition, view/like/comment
   counts, channel age/views/subs/uploads) decoded once from the merged
-  first-seen-wins captures;
+  first-seen-wins captures: the merge keeps resource texts, and only the
+  surviving ones are parsed;
 * the flat list of ``totalResults`` pool draws per topic.
 
 The analyses then run as vectorized kernels: pairwise and first-vs-t
@@ -78,6 +79,7 @@ import numpy as np
 from repro.core.datasets import CampaignResult
 from repro.obs.observer import Observer
 from repro.stats.markov import chain_from_counts
+from repro.util.jsonio import CapturedResources
 from repro.util.timeutil import parse_iso8601_duration, parse_rfc3339
 
 __all__ = ["CampaignIndex", "TopicIndex", "campaign_index"]
@@ -229,12 +231,13 @@ class CampaignIndex:
         self.build_wall_s = build_wall_s
         #: cumulative wall time spent in :meth:`append_snapshot`.
         self.append_wall_s = 0.0
-        # Metadata merged first-seen-wins, folded lazily per topic up to
-        # collection ``_meta_upto[topic]`` (campaign-backed indexes scan
-        # retained snapshots on demand; incremental ones fold eagerly in
+        # Metadata texts merged first-seen-wins (topic -> ID -> resource
+        # text), folded lazily per topic up to collection
+        # ``_meta_upto[topic]`` (campaign-backed indexes scan retained
+        # snapshots on demand; incremental ones fold eagerly in
         # append_snapshot because the snapshot will not be retained).
-        self._merged_video: dict[str, dict[str, dict]] = {}
-        self._merged_channel: dict[str, dict[str, dict]] = {}
+        self._merged_video: dict[str, dict[str, str]] = {}
+        self._merged_channel: dict[str, dict[str, str]] = {}
         self._meta_upto: dict[str, int] = {}
         # Memoized analysis products (the report/export/replication
         # layers ask the same questions repeatedly).
@@ -392,14 +395,7 @@ class CampaignIndex:
         if self._campaign is None:
             # No retained snapshots to scan later: fold metadata now.
             for key in self._topic_keys:
-                ts = snap.topics[key]
-                if ts.video_meta or ts.channel_meta:
-                    merged_v = self._merged_video.setdefault(key, {})
-                    merged_c = self._merged_channel.setdefault(key, {})
-                    for vid, resource in ts.video_meta.items():
-                        merged_v.setdefault(vid, resource)
-                    for cid, resource in ts.channel_meta.items():
-                        merged_c.setdefault(cid, resource)
+                self._fold_meta(key, snap.topics[key])
                 self._meta_upto[key] = self._n
         self._invalidate()
         wall_s = time.perf_counter() - t0
@@ -737,35 +733,46 @@ class CampaignIndex:
             self._pool_stats[topic] = cached
         return cached
 
+    def _fold_meta(self, topic: str, ts) -> None:
+        """Fold one topic-snapshot's resource texts in, first seen wins."""
+        if ts.video_meta or ts.channel_meta:
+            merged_video = self._merged_video.setdefault(topic, {})
+            merged_channel = self._merged_channel.setdefault(topic, {})
+            for vid, text in ts.video_meta.text_items():
+                merged_video.setdefault(vid, text)
+            for cid, text in ts.channel_meta.text_items():
+                merged_channel.setdefault(cid, text)
+
     def _merged_meta(
         self, topic: str
-    ) -> tuple[dict[str, dict], dict[str, dict]]:
+    ) -> tuple[CapturedResources, CapturedResources]:
         """First-seen-wins metadata for one topic, folded up to ``_n``.
 
         Campaign-backed indexes scan the retained snapshots lazily from
         wherever the last fold stopped; incremental indexes were folded
-        eagerly in :meth:`append_snapshot`, so the stored dicts are
-        already current.
+        eagerly in :meth:`append_snapshot`, so the stored texts are
+        already current.  Nothing is parsed here: a resource is parsed
+        when it is read.
         """
-        merged_video = self._merged_video.setdefault(topic, {})
-        merged_channel = self._merged_channel.setdefault(topic, {})
         start = self._meta_upto.get(topic, 0)
         if self._campaign is not None and start < self._n:
             for snap in self._campaign.snapshots[start:self._n]:
-                ts = snap.topics[topic]
-                for vid, resource in ts.video_meta.items():
-                    merged_video.setdefault(vid, resource)
-                for cid, resource in ts.channel_meta.items():
-                    merged_channel.setdefault(cid, resource)
+                self._fold_meta(topic, snap.topics[topic])
             self._meta_upto[topic] = self._n
-        return merged_video, merged_channel
+        videos = self._merged_video.setdefault(topic, {})
+        channels = self._merged_channel.setdefault(topic, {})
+        return (
+            CapturedResources.from_texts(videos),
+            CapturedResources.from_texts(channels),
+        )
 
     def _regression_columns(self, topic: str) -> _RegressionColumns:
         """Decode one topic's regression dataset (memoized on the topic).
 
         Merges metadata first-seen-wins across snapshots, drops videos
         without video or channel metadata (the paper's treatment), and
-        parses durations / channel ages once per unique value.
+        parses each surviving resource once and durations / channel ages
+        once per unique value.
         """
         ti = self.topic(topic)
         if ti.regression is not None:
@@ -795,8 +802,7 @@ class CampaignIndex:
             if meta is None:
                 continue
             channel_id = meta["snippet"]["channelId"]
-            channel = merged_channel.get(channel_id)
-            if channel is None:
+            if channel_id not in merged_channel:
                 continue
             stats = meta.get("statistics", {})
             details = meta.get("contentDetails", {})
@@ -810,6 +816,7 @@ class CampaignIndex:
                 if static is not None:
                     created, c_views, c_subs, c_videos = static
                 else:
+                    channel = merged_channel[channel_id]
                     created = parse_rfc3339(channel["snippet"]["publishedAt"])
                     c_views = int(channel["statistics"]["viewCount"])
                     c_subs = int(channel["statistics"]["subscriberCount"])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -48,6 +49,18 @@ class ReplicateOutcome:
     pool_consistency_rho: float
 
 
+#: The paper's qualitative claims, each a predicate on one replicate.
+_CLAIMS: dict[str, Callable[[ReplicateOutcome], bool]] = {
+    "duration < 0": lambda o: o.duration_beta < 0,
+    "likes > 0": lambda o: o.likes_beta > 0,
+    "higgs > 0": lambda o: o.higgs_beta > 0,
+    "higgs most consistent": lambda o: o.higgs_most_consistent,
+    "pool-consistency rho < 0": lambda o: o.pool_consistency_rho < 0,
+    "P(P|PP) > 0.5": lambda o: o.markov_pp > 0.5,
+    "P(A|AA) > 0.5": lambda o: o.markov_aa > 0.5,
+}
+
+
 @dataclass
 class ReplicationSummary:
     """Aggregate over all replicates."""
@@ -64,17 +77,15 @@ class ReplicationSummary:
         if not self.outcomes:
             return {}
         return {
-            "duration < 0": np.mean([o.duration_beta < 0 for o in self.outcomes]),
-            "likes > 0": np.mean([o.likes_beta > 0 for o in self.outcomes]),
-            "higgs > 0": np.mean([o.higgs_beta > 0 for o in self.outcomes]),
-            "higgs most consistent": np.mean(
-                [o.higgs_most_consistent for o in self.outcomes]
-            ),
-            "pool-consistency rho < 0": np.mean(
-                [o.pool_consistency_rho < 0 for o in self.outcomes]
-            ),
-            "P(P|PP) > 0.5": np.mean([o.markov_pp > 0.5 for o in self.outcomes]),
-            "P(A|AA) > 0.5": np.mean([o.markov_aa > 0.5 for o in self.outcomes]),
+            claim: np.mean([holds(o) for o in self.outcomes])
+            for claim, holds in _CLAIMS.items()
+        }
+
+    def failing_seeds(self) -> dict[str, list[int]]:
+        """Per claim, the seeds whose replicate broke it (in seed order)."""
+        return {
+            claim: [o.seed for o in self.outcomes if not holds(o)]
+            for claim, holds in _CLAIMS.items()
         }
 
     def metric_bands(self) -> dict[str, tuple[float, float]]:
@@ -95,9 +106,15 @@ class ReplicationSummary:
     def render(self) -> str:
         """Replication report as a text table pair."""
         stability = self.sign_stability()
-        rows = [[claim, f"{share:.0%}"] for claim, share in stability.items()]
+        failing = self.failing_seeds()
+        rows = [
+            [claim, f"{share:.0%}",
+             " ".join(str(seed) for seed in failing[claim]) or "-"]
+            for claim, share in stability.items()
+        ]
         table = render_table(
-            ["qualitative claim", f"holds in (of {self.n} seeds)"],
+            ["qualitative claim", f"holds in (of {self.n} seeds)",
+             "fails at seeds"],
             rows,
             title="Replication: sign/ordering stability across seeds",
         )

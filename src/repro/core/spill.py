@@ -17,7 +17,9 @@ On-disk layout (one directory per campaign)::
                         ("ids", first-seen order), per-hour-bin rows
                         into that table, pool draws, missing hours
     meta-00000.jsonl    sidecar, only when a topic captured metadata or
-                        comments: video/channel resources + raw comments
+                        comments: video/channel resources + raw comments,
+                        written and read as resource texts (the campaign
+                        file's line encoder and decoder)
 
 The data lines intern each topic-snapshot's video IDs once (``ids``)
 and store every hour bin as integer rows into that table — the same
@@ -45,7 +47,6 @@ compare ``==`` to the originals.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from pathlib import Path
@@ -58,7 +59,14 @@ from repro.core.datasets import (
     campaign_records,
 )
 from repro.obs.observer import Observer
-from repro.util.jsonio import dump_json, load_json, read_jsonl
+from repro.util.jsonio import (
+    dump_json,
+    encode_record,
+    load_json,
+    read_jsonl,
+    read_records,
+    write_jsonl,
+)
 from repro.util.timeutil import format_rfc3339, parse_rfc3339
 
 __all__ = ["SpillStore", "SPILL_FORMAT"]
@@ -100,8 +108,9 @@ def _encode_topic(snap: Snapshot, key: str, ts: TopicSnapshot) -> dict:
     return record
 
 
-def _decode_topic(record: dict, collected_at) -> TopicSnapshot:
-    """Inverse of :func:`_encode_topic` (dict orders preserved)."""
+def _decode_topic(record: dict, collected_at, meta: dict) -> TopicSnapshot:
+    """Inverse of :func:`_encode_topic` (dict orders preserved), with the
+    topic's sidecar record (``{}`` when it captured nothing)."""
     ids = record["ids"]
     hour_video_ids = {
         int(hour): [ids[row] for row in hour_rows]
@@ -116,6 +125,9 @@ def _decode_topic(record: dict, collected_at) -> TopicSnapshot:
         collected_at=collected_at,
         hour_video_ids=hour_video_ids,
         pool_sizes=pool_sizes,
+        video_meta=meta.get("video_meta", {}),
+        channel_meta=meta.get("channel_meta", {}),
+        comments=meta.get("comments", {}),
         missing_hours=[int(h) for h in record.get("missing", [])],
     )
 
@@ -273,6 +285,10 @@ class SpillStore:
         """Load one snapshot from its data (and sidecar) files."""
         entry = self._manifest["snapshots"][index]
         collected_at = parse_rfc3339(entry["collected_at"])
+        meta: dict[str, dict] = {}
+        if entry.get("meta") is not None:
+            for record in read_records(self.directory / entry["meta"]):
+                meta[record["topic"]] = record
         topics: dict[str, TopicSnapshot] = {}
         for record in read_jsonl(self.directory / entry["data"]):
             if record.get("kind") != "spill-topic":
@@ -280,13 +296,15 @@ class SpillStore:
                     f"{self.directory / entry['data']}: unexpected record "
                     f"kind {record.get('kind')!r}"
                 )
-            topics[record["topic"]] = _decode_topic(record, collected_at)
-        if entry.get("meta") is not None:
-            for record in read_jsonl(self.directory / entry["meta"]):
-                ts = topics[record["topic"]]
-                ts.video_meta = record.get("video_meta", {})
-                ts.channel_meta = record.get("channel_meta", {})
-                ts.comments = record.get("comments", {})
+            topics[record["topic"]] = _decode_topic(
+                record, collected_at, meta.get(record["topic"], {})
+            )
+        stray = sorted(set(meta) - set(topics))
+        if stray:
+            raise ValueError(
+                f"{self.directory / entry['meta']}: metadata for topic(s) "
+                f"{', '.join(stray)} that the snapshot does not hold"
+            )
         return Snapshot(
             index=int(entry["index"]), collected_at=collected_at, topics=topics
         )
@@ -341,21 +359,16 @@ class SpillStore:
         data_lines: list[str] = []
         meta_lines: list[str] = []
         for key, ts in snap.topics.items():
-            data_lines.append(
-                json.dumps(_encode_topic(snap, key, ts), sort_keys=True)
-            )
+            data_lines.append(encode_record(_encode_topic(snap, key, ts)))
             if ts.video_meta or ts.channel_meta or ts.comments:
-                meta_lines.append(json.dumps(
-                    {
-                        "kind": "spill-meta",
-                        "index": snap.index,
-                        "topic": key,
-                        "video_meta": ts.video_meta,
-                        "channel_meta": ts.channel_meta,
-                        "comments": ts.comments,
-                    },
-                    sort_keys=True,
-                ))
+                meta_lines.append(encode_record({
+                    "kind": "spill-meta",
+                    "index": snap.index,
+                    "topic": key,
+                    "video_meta": ts.video_meta,
+                    "channel_meta": ts.channel_meta,
+                    "comments": ts.comments,
+                }))
         data_name = f"snap-{snap.index:05d}.jsonl"
         data_bytes = _write_fsync(self.directory / data_name, data_lines)
         entry = {
@@ -398,8 +411,6 @@ class SpillStore:
         Byte-identical to :meth:`CampaignResult.save` on the same
         snapshots, without ever materializing the whole campaign.
         """
-        from repro.util.jsonio import write_jsonl
-
         return write_jsonl(
             path,
             campaign_records(self.topic_keys, self.iter_snapshots()),
@@ -411,12 +422,9 @@ class SpillStore:
 
         Matches ``hashlib.sha256(path.read_bytes())`` over a file written
         by :meth:`export_jsonl` / :meth:`CampaignResult.save` — the same
-        serialization (sorted keys, one record per line) fed straight
-        into the hash.
+        line encoder fed straight into the hash.
         """
         digest = hashlib.sha256()
         for record in campaign_records(self.topic_keys, self.iter_snapshots()):
-            digest.update(
-                (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-            )
+            digest.update((encode_record(record) + "\n").encode("utf-8"))
         return digest.hexdigest()

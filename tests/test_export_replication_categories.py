@@ -8,7 +8,11 @@ import pytest
 
 from repro.api.errors import BadRequestError, NotFoundError
 from repro.core.export import export_all, write_csv
-from repro.core.replication import ReplicationSummary, run_replication
+from repro.core.replication import (
+    ReplicateOutcome,
+    ReplicationSummary,
+    run_replication,
+)
 
 
 class TestExport:
@@ -91,6 +95,38 @@ class TestReplication:
         assert summary.n == 0
         assert summary.sign_stability() == {}
         assert summary.metric_bands() == {}
+
+    def test_render_names_failing_seeds(self):
+        """A broken claim's row names the seeds that broke it."""
+
+        def outcome(seed, **overrides):
+            fields = dict(
+                seed=seed, j_first_last={"blm": 0.5, "higgs": 0.8},
+                markov_pp=0.9, markov_aa=0.8, duration_beta=-0.2,
+                likes_beta=0.3, higgs_beta=0.4, higgs_most_consistent=True,
+                pool_consistency_rho=-0.5,
+            )
+            fields.update(overrides)
+            return ReplicateOutcome(**fields)
+
+        summary = ReplicationSummary(outcomes=[
+            outcome(101),
+            outcome(202, likes_beta=-0.1),
+            outcome(303, higgs_most_consistent=False, likes_beta=-0.2),
+        ])
+        failing = summary.failing_seeds()
+        assert failing["higgs most consistent"] == [303]
+        assert failing["likes > 0"] == [202, 303]
+        assert failing["duration < 0"] == []
+        rows = {
+            line.split("|")[1].strip(): line.split("|")[3].strip()
+            for line in summary.render().splitlines()
+            if line.count("|") == 4
+        }
+        assert rows["higgs most consistent"] == "303"
+        assert rows["likes > 0"] == "202 303"
+        assert rows["duration < 0"] == "-"
+        assert not summary.all_claims_hold
 
 
 class TestVideoCategories:

@@ -10,8 +10,16 @@ determinism contract the whole repository rests on.  The world under
 the campaign is pinned separately, entity by entity, by
 ``tests/test_world_columnar.py``'s recorded digests.
 
+``tests/golden/campaign_reduced_comments.json`` pins the same campaign
+with comment sweeps on collections 0 and 2: 332 comment payloads, the
+captures the line encoder splices most.  It is checked on both engines,
+after a ``load`` -> ``save`` round trip, and (in ``tests/test_spill.py``)
+through the spill store's export.
+
 Regeneration recipe (only when the *simulator's data model* legitimately
-changes — never to paper over an engine divergence)::
+changes — never to paper over an engine divergence).  ``COMMENTS = ()``
+prints ``campaign_reduced.json``; ``COMMENTS = (0, 2)`` prints
+``campaign_reduced_comments.json``::
 
     PYTHONPATH=src python - <<'EOF'
     import dataclasses, hashlib, json, tempfile
@@ -22,12 +30,12 @@ changes — never to paper over an engine divergence)::
     from repro.world.corpus import scale_topics
     from repro.world.topics import paper_topics
 
-    SEED, SCALE, COLLECTIONS = 20250209, 0.05, 3
+    SEED, SCALE, COLLECTIONS, COMMENTS = 20250209, 0.05, 3, ()
     specs = scale_topics(paper_topics(), SCALE)
     world = build_world(specs, seed=SEED)
     config = dataclasses.replace(
         paper_campaign_config(topics=specs), n_scheduled=COLLECTIONS,
-        skipped_indices=frozenset(), comment_snapshot_indices=(),
+        skipped_indices=frozenset(), comment_snapshot_indices=COMMENTS,
     )
     service = build_service(world, seed=SEED, specs=specs,
                             quota_policy=QuotaPolicy(researcher_program=True))
@@ -36,18 +44,23 @@ changes — never to paper over an engine divergence)::
         path = Path(d) / "campaign.jsonl"
         campaign.save(path)
         payload = path.read_bytes()
+    extra = {"comment_snapshot_indices": list(COMMENTS)} if COMMENTS else {}
     print(json.dumps({
-        "seed": SEED, "scale": SCALE, "collections": COLLECTIONS,
+        "seed": SEED, "scale": SCALE, "collections": COLLECTIONS, **extra,
         "sha256": hashlib.sha256(payload).hexdigest(), "bytes": len(payload),
         "total_videos": sum(s.topic(k).total_returned
                             for s in campaign.snapshots
                             for k in campaign.topic_keys),
+        **({"comment_payloads": sum(len(s.topic(k).comments)
+                                    for s in campaign.snapshots
+                                    for k in campaign.topic_keys)}
+           if COMMENTS else {}),
         "quota_units": service.quota.total_used,
     }, indent=2))
     EOF
 
-Paste the output over ``tests/golden/campaign_reduced.json`` and explain
-the data-model change in the commit message.
+Paste the output over the golden file and explain the data-model change
+in the commit message.
 """
 
 from __future__ import annotations
@@ -61,12 +74,17 @@ import pytest
 
 from repro.api import QuotaPolicy, YouTubeClient, build_service
 from repro.core import paper_campaign_config, run_campaign
+from repro.core.datasets import CampaignResult
 from repro.world import build_world
 from repro.world.corpus import scale_topics
 from repro.world.topics import paper_topics
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "campaign_reduced.json").read_text()
+)
+GOLDEN_COMMENTS = json.loads(
+    (Path(__file__).parent / "golden" / "campaign_reduced_comments.json")
+    .read_text()
 )
 
 
@@ -80,50 +98,89 @@ def golden_world(golden_specs):
     return build_world(golden_specs, seed=GOLDEN["seed"])
 
 
-def _run(golden_world, golden_specs, tmp_path, name, **campaign_kwargs):
-    """Run the golden campaign on one engine; return (bytes, units)."""
+def golden_config(specs, golden: dict = GOLDEN):
+    """The golden campaign's config (comment sweeps as ``golden`` pins)."""
+    return dataclasses.replace(
+        paper_campaign_config(topics=specs),
+        n_scheduled=golden["collections"],
+        skipped_indices=frozenset(),
+        comment_snapshot_indices=tuple(
+            golden.get("comment_snapshot_indices", ())
+        ),
+    )
+
+
+def _run(golden_world, golden_specs, tmp_path, name, golden: dict = GOLDEN,
+         **campaign_kwargs):
+    """Run a golden campaign on one engine; return (campaign, path, units)."""
     service = build_service(
         golden_world,
-        seed=GOLDEN["seed"],
+        seed=golden["seed"],
         specs=golden_specs,
         quota_policy=QuotaPolicy(researcher_program=True),
     )
-    config = dataclasses.replace(
-        paper_campaign_config(topics=golden_specs),
-        n_scheduled=GOLDEN["collections"],
-        skipped_indices=frozenset(),
-        comment_snapshot_indices=(),
+    campaign = run_campaign(
+        golden_config(golden_specs, golden), YouTubeClient(service),
+        **campaign_kwargs,
     )
-    campaign = run_campaign(config, YouTubeClient(service), **campaign_kwargs)
     path = tmp_path / f"{name}.jsonl"
     campaign.save(path)
-    return path.read_bytes(), service.quota.total_used
+    return campaign, path, service.quota.total_used
 
 
-def _assert_golden(payload: bytes, units: int) -> None:
-    assert hashlib.sha256(payload).hexdigest() == GOLDEN["sha256"]
-    assert len(payload) == GOLDEN["bytes"]
-    assert units == GOLDEN["quota_units"]
+def _assert_golden(payload: bytes, units: int, golden: dict = GOLDEN) -> None:
+    assert hashlib.sha256(payload).hexdigest() == golden["sha256"]
+    assert len(payload) == golden["bytes"]
+    assert units == golden["quota_units"]
 
 
 class TestGoldenCampaign:
     def test_serial_matches_golden_sha256(
         self, golden_world, golden_specs, tmp_path
     ):
-        _assert_golden(*_run(golden_world, golden_specs, tmp_path, "serial"))
+        _, path, units = _run(golden_world, golden_specs, tmp_path, "serial")
+        _assert_golden(path.read_bytes(), units)
 
     def test_per_call_engine_matches_golden_sha256(
         self, golden_world, golden_specs, tmp_path
     ):
-        _assert_golden(*_run(
+        _, path, units = _run(
             golden_world, golden_specs, tmp_path, "per-call",
             engine="per-call",
-        ))
+        )
+        _assert_golden(path.read_bytes(), units)
 
     def test_golden_fixture_is_well_formed(self):
         assert set(GOLDEN) == {
             "seed", "scale", "collections", "sha256", "bytes",
             "total_videos", "quota_units",
         }
-        assert len(GOLDEN["sha256"]) == 64
-        int(GOLDEN["sha256"], 16)  # hex-parses
+        assert set(GOLDEN_COMMENTS) == set(GOLDEN) | {
+            "comment_snapshot_indices", "comment_payloads",
+        }
+        for golden in (GOLDEN, GOLDEN_COMMENTS):
+            assert len(golden["sha256"]) == 64
+            int(golden["sha256"], 16)  # hex-parses
+
+
+class TestGoldenComments:
+    """The comment captures' bytes, pinned on both engines and reloaded."""
+
+    @pytest.mark.parametrize("engine", ["batch", "per-call"])
+    def test_comment_campaign_matches_golden_sha256(
+        self, golden_world, golden_specs, tmp_path, engine
+    ):
+        campaign, path, units = _run(
+            golden_world, golden_specs, tmp_path, engine, GOLDEN_COMMENTS,
+            engine=engine,
+        )
+        payload = path.read_bytes()
+        _assert_golden(payload, units, GOLDEN_COMMENTS)
+        assert sum(
+            len(snap.topic(key).comments)
+            for snap in campaign.snapshots for key in campaign.topic_keys
+        ) == GOLDEN_COMMENTS["comment_payloads"]
+        # load -> save keeps every resource's bytes.
+        resaved = tmp_path / f"{engine}-resaved.jsonl"
+        CampaignResult.load(path).save(resaved)
+        assert resaved.read_bytes() == payload

@@ -41,7 +41,7 @@ from repro.world import build_world
 from repro.world.corpus import scale_topic, scale_topics
 from repro.world.topics import paper_topics
 
-from tests.test_golden_campaign import GOLDEN
+from tests.test_golden_campaign import GOLDEN, GOLDEN_COMMENTS, golden_config
 from tests.test_index_equivalence import (
     _campaign_of,
     _degraded_campaign,
@@ -55,21 +55,24 @@ SEED = 20250209
 def _meta_campaign() -> CampaignResult:
     """A hand-built campaign with metadata, comments, and non-ASCII."""
     campaign = _degraded_campaign()
-    first = campaign.snapshots[0].topics["alpha"]
-    first.video_meta = {
-        "a": {
-            "snippet": {"title": "héllo ☃", "channelId": "ch1"},
-            "statistics": {"viewCount": "7"},
+    topics = campaign.snapshots[0].topics
+    topics["alpha"] = dataclasses.replace(
+        topics["alpha"],
+        video_meta={
+            "a": {
+                "snippet": {"title": "héllo ☃", "channelId": "ch1"},
+                "statistics": {"viewCount": "7"},
+            },
+            "b": {"snippet": {"title": "非ASCII", "channelId": "ch2"}},
         },
-        "b": {"snippet": {"title": "非ASCII", "channelId": "ch2"}},
-    }
-    first.channel_meta = {
-        "ch1": {"snippet": {"title": "Ωmega"}},
-        "ch2": {"snippet": {"title": "plain"}},
-    }
-    first.comments = {
-        "a": {"top_level": [{"text": "naïve"}], "replies": []},
-    }
+        channel_meta={
+            "ch1": {"snippet": {"title": "Ωmega"}},
+            "ch2": {"snippet": {"title": "plain"}},
+        },
+        comments={
+            "a": {"top_level": [{"text": "naïve"}], "replies": []},
+        },
+    )
     return campaign
 
 
@@ -222,6 +225,14 @@ class TestCrashRecovery:
         with pytest.raises(ValueError, match="corrupt store"):
             SpillStore.open(store.directory)
 
+    def test_sidecar_for_unknown_topic_raises(self, tmp_path):
+        store = _spilled(tmp_path, _meta_campaign())
+        sidecar = store.directory / "meta-00000.jsonl"
+        # Same byte count, so the manifest's size check still passes.
+        sidecar.write_text(sidecar.read_text().replace('"alpha"', '"gamma"'))
+        with pytest.raises(ValueError, match=r"topic\(s\) gamma"):
+            SpillStore.open(store.directory).read_snapshot(0)
+
     def test_missing_referenced_file_raises(self, tmp_path):
         store = _spilled(tmp_path, _degraded_campaign())
         (store.directory / "snap-00003.jsonl").unlink()
@@ -305,6 +316,31 @@ class TestGoldenSpill:
         payload = exported.read_bytes()
         assert hashlib.sha256(payload).hexdigest() == GOLDEN["sha256"]
         assert len(payload) == GOLDEN["bytes"]
+
+    @pytest.mark.parametrize("engine", ["batch", "per-call"])
+    def test_spilled_comment_campaign_matches_golden_sha256(
+        self, golden_world, tmp_path, engine
+    ):
+        """The comment captures go through the meta sidecar unchanged."""
+        world, specs = golden_world
+        service = build_service(
+            world, seed=GOLDEN_COMMENTS["seed"], specs=specs,
+            quota_policy=QuotaPolicy(researcher_program=True),
+        )
+        run_campaign(
+            golden_config(specs, GOLDEN_COMMENTS), YouTubeClient(service),
+            spill=tmp_path / "spill",
+            retain_snapshots=False,
+            engine=engine,
+        )
+        assert service.quota.total_used == GOLDEN_COMMENTS["quota_units"]
+        store = SpillStore.open(tmp_path / "spill")
+        assert store.sha256() == GOLDEN_COMMENTS["sha256"]
+        exported = tmp_path / "exported.jsonl"
+        store.export_jsonl(exported)
+        payload = exported.read_bytes()
+        assert hashlib.sha256(payload).hexdigest() == GOLDEN_COMMENTS["sha256"]
+        assert len(payload) == GOLDEN_COMMENTS["bytes"]
 
 
 class _CheckpointRecorder(Observer):
