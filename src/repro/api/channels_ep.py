@@ -7,8 +7,10 @@ recommended channel-pipeline collection strategy (Section 6.1).
 
 from __future__ import annotations
 
+from datetime import date
+
 from repro.api.errors import BadRequestError
-from repro.api.resources import channel_resource, etag_for
+from repro.api.resources import channel_text, etag_for, parse_items
 from repro.world.store import PlatformStore
 
 __all__ = ["ChannelsEndpoint", "MAX_IDS_PER_CALL"]
@@ -28,23 +30,42 @@ class ChannelsEndpoint:
 
     def list(self, part: str = "snippet", id: str | list[str] = "") -> dict:
         """Fetch up to 50 channels by ID; unknown IDs are omitted."""
+        ids, today, items = self._items(part, id)
+        return {
+            "kind": "youtube#channelListResponse",
+            "etag": etag_for("channelList", ",".join(ids), today),
+            "pageInfo": {"totalResults": len(items), "resultsPerPage": len(items)},
+            "items": parse_items(text for _, text in items),
+        }
+
+    def capture(
+        self, part: str = "snippet", id: str | list[str] = ""
+    ) -> list[tuple[str, str]]:
+        """The items :meth:`list` returns, as ``(channel ID, text)`` pairs.
+
+        Simulator-only: each text is the item's canonical JSON, kept as a
+        capture without encoding.  Billed and gated exactly as :meth:`list`.
+        """
+        return self._items(part, id)[2]
+
+    def _items(
+        self, part: str, id: str | list[str]
+    ) -> tuple[list[str], date, list[tuple[str, str]]]:
+        """One gated call: (requested IDs, request date, rendered items)."""
         ids = _normalize_ids(id)
         parts = _parse_parts(part)
         as_of = self._service.begin_call(self.endpoint_name)
+        today = as_of.date()
+        day = today.isoformat()
+        store = self._store
 
         items = []
         for channel_id in ids:
-            channel = self._store.channel(channel_id)
+            channel = store.channel(channel_id)
             if channel is None:
                 continue
-            items.append(channel_resource(channel, as_of, parts))
-
-        return {
-            "kind": "youtube#channelListResponse",
-            "etag": etag_for("channelList", ",".join(ids), as_of.date()),
-            "pageInfo": {"totalResults": len(items), "resultsPerPage": len(items)},
-            "items": items,
-        }
+            items.append((channel_id, channel_text(channel, store, day, parts)))
+        return ids, today, items
 
 
 def _normalize_ids(id_param: str | list[str]) -> list[str]:

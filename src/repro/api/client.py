@@ -194,25 +194,52 @@ class YouTubeClient:
 
     def videos_list(self, ids: list[str], part: str = "snippet,contentDetails,statistics") -> list[dict]:
         """Fetch video resources for arbitrarily many IDs (batched by 50)."""
-        resources: list[dict] = []
-        for batch in _batches(ids, 50):
-            response = self._call(
-                lambda b=batch: self._service.videos.list(part=part, id=b),
-                endpoint="videos.list",
-            )
-            resources.extend(response["items"])
-        return resources
+        return self._batched(
+            "videos.list", ids,
+            lambda batch: self._service.videos.list(part=part, id=batch)["items"],
+        )
+
+    def videos_capture(self, ids: list[str]) -> list[tuple[str, str, str]]:
+        """:meth:`videos_list`'s calls, as ``(video ID, channel ID, text)`` items.
+
+        Simulator-only (a live service has no capture face): each text is
+        the resource's canonical JSON, which a collector keeps as its
+        capture.  Calls, retries and billing are :meth:`videos_list`'s.
+        """
+        return self._batched(
+            "videos.list", ids,
+            lambda batch: self._service.videos.capture(
+                part="snippet,contentDetails,statistics", id=batch
+            ),
+        )
 
     def channels_list(self, ids: list[str], part: str = "snippet,statistics,contentDetails") -> list[dict]:
         """Fetch channel resources for arbitrarily many IDs (batched by 50)."""
-        resources: list[dict] = []
-        for batch in _batches(sorted(set(ids)), 50):
-            response = self._call(
-                lambda b=batch: self._service.channels.list(part=part, id=b),
-                endpoint="channels.list",
-            )
-            resources.extend(response["items"])
-        return resources
+        return self._batched(
+            "channels.list", sorted(set(ids)),
+            lambda batch: self._service.channels.list(part=part, id=batch)["items"],
+        )
+
+    def channels_capture(self, ids: list[str]) -> list[tuple[str, str]]:
+        """:meth:`channels_list`'s calls, as ``(channel ID, text)`` items.
+
+        Simulator-only, like :meth:`videos_capture`.
+        """
+        return self._batched(
+            "channels.list", sorted(set(ids)),
+            lambda batch: self._service.channels.capture(
+                part="snippet,statistics,contentDetails", id=batch
+            ),
+        )
+
+    def _batched(
+        self, endpoint: str, ids: list[str], fetch: Callable[[list[str]], list]
+    ) -> list:
+        """``fetch`` over ``ids`` in batches of 50, each through :meth:`_call`."""
+        items: list = []
+        for batch in _batches(ids, 50):
+            items.extend(self._call(lambda b=batch: fetch(b), endpoint=endpoint))
+        return items
 
     def uploads_playlist_id(self, channel_id: str) -> str | None:
         """A channel's uploads playlist ID, or None if the channel is unknown."""
@@ -227,72 +254,85 @@ class YouTubeClient:
 
     def playlist_video_ids(self, playlist_id: str) -> list[str]:
         """Every video ID in a playlist, fully paginated."""
-
-        def collect() -> list[str]:
-            ids: list[str] = []
-            page_token: str | None = None
-            while True:
-                response = self._call(
-                    lambda tok=page_token: self._service.playlist_items.list(
-                        part="contentDetails",
-                        playlistId=playlist_id,
-                        maxResults=50,
-                        pageToken=tok,
-                    ),
-                    endpoint="playlistItems.list",
-                )
-                ids.extend(
-                    item["contentDetails"]["videoId"] for item in response["items"]
-                )
-                page_token = response.get("nextPageToken")
-                if not page_token:
-                    return ids
-
-        return self._paginate("playlistItems.list", collect)
+        items = self._all_pages(
+            "playlistItems.list",
+            lambda token: self._service.playlist_items.list(
+                part="contentDetails", playlistId=playlist_id, maxResults=50,
+                pageToken=token,
+            ),
+        )
+        return [item["contentDetails"]["videoId"] for item in items]
 
     # -- comments ------------------------------------------------------------------
 
     def comment_threads_all(self, video_id: str, include_replies: bool = True) -> list[dict]:
         """All comment threads of a video, fully paginated."""
         part = "snippet,replies" if include_replies else "snippet"
+        return self._all_pages(
+            "commentThreads.list",
+            lambda token: self._service.comment_threads.list(
+                part=part, videoId=video_id, maxResults=50, pageToken=token
+            ),
+        )
 
-        def collect() -> list[dict]:
-            threads: list[dict] = []
-            page_token: str | None = None
-            while True:
-                response = self._call(
-                    lambda tok=page_token: self._service.comment_threads.list(
-                        part=part, videoId=video_id, maxResults=50, pageToken=tok
-                    ),
-                    endpoint="commentThreads.list",
-                )
-                threads.extend(response["items"])
-                page_token = response.get("nextPageToken")
-                if not page_token:
-                    return threads
+    def comment_threads_capture(self, video_id: str) -> list:
+        """:meth:`comment_threads_all`'s calls, as thread captures.
 
-        return self._paginate("commentThreads.list", collect)
+        Simulator-only: each item is a
+        :class:`~repro.api.comment_threads.ThreadCapture` holding the
+        top-level comment's and the inline replies' canonical texts.
+        Calls, page restarts and billing are :meth:`comment_threads_all`'s.
+        """
+        return self._all_pages(
+            "commentThreads.list",
+            lambda token: self._service.comment_threads.capture(
+                part="snippet,replies", videoId=video_id, maxResults=50,
+                pageToken=token,
+            ),
+        )
 
     def comment_replies_all(self, parent_id: str) -> list[dict]:
         """All replies under a top-level comment, fully paginated."""
+        return self._all_pages(
+            "comments.list",
+            lambda token: self._service.comments.list(
+                part="snippet", parentId=parent_id, maxResults=50,
+                pageToken=token,
+            ),
+        )
 
-        def collect() -> list[dict]:
-            replies: list[dict] = []
+    def comment_replies_capture(self, parent_id: str) -> list[str]:
+        """:meth:`comment_replies_all`'s calls, as the replies' canonical texts.
+
+        Simulator-only, like :meth:`comment_threads_capture`.
+        """
+        return self._all_pages(
+            "comments.list",
+            lambda token: self._service.comments.capture(
+                part="snippet", parentId=parent_id, maxResults=50,
+                pageToken=token,
+            ),
+        )
+
+    def _all_pages(
+        self, endpoint: str, fetch: Callable[[str | None], dict]
+    ) -> list:
+        """Every item of a paginated call: ``fetch(page_token)`` per page,
+        each through :meth:`_call`, restarted by :meth:`_paginate`."""
+
+        def collect() -> list:
+            items: list = []
             page_token: str | None = None
             while True:
                 response = self._call(
-                    lambda tok=page_token: self._service.comments.list(
-                        part="snippet", parentId=parent_id, maxResults=50,
-                        pageToken=tok,
-                    ),
-                    endpoint="comments.list",
+                    lambda tok=page_token: fetch(tok), endpoint=endpoint
                 )
-                replies.extend(response["items"])
+                items.extend(response["items"])
                 page_token = response.get("nextPageToken")
                 if not page_token:
-                    return replies
+                    return items
 
-        return self._paginate("comments.list", collect)
+        return self._paginate(endpoint, collect)
 
 
 def _batches(items: list[str], size: int) -> Iterator[list[str]]:

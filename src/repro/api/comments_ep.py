@@ -7,9 +7,11 @@ replies per thread.
 
 from __future__ import annotations
 
+from datetime import datetime
+
 from repro.api.errors import BadRequestError, NotFoundError
-from repro.api.pagination import paginate
-from repro.api.resources import comment_resource, etag_for
+from repro.api.pagination import Page, paginate
+from repro.api.resources import comment_text, etag_for, parse_items
 from repro.util.rng import stable_hash
 from repro.world.store import PlatformStore
 
@@ -35,6 +37,46 @@ class CommentsEndpoint:
         pageToken: str | None = None,
     ) -> dict:
         """List all replies under a parent (top-level) comment."""
+        page, total, as_of = self._page(part, parentId, maxResults, pageToken)
+        day = as_of.date().isoformat()
+        response: dict = {
+            "kind": "youtube#commentListResponse",
+            "etag": etag_for("commentList", parentId, as_of.date(), page.offset),
+            "pageInfo": {
+                "totalResults": total,
+                "resultsPerPage": maxResults,
+            },
+            "items": parse_items(comment_text(c, day) for c in page.items),
+        }
+        if page.next_page_token:
+            response["nextPageToken"] = page.next_page_token
+        if page.prev_page_token:
+            response["prevPageToken"] = page.prev_page_token
+        return response
+
+    def capture(
+        self,
+        part: str = "snippet",
+        parentId: str = "",
+        maxResults: int = 20,
+        pageToken: str | None = None,
+    ) -> dict:
+        """One page of :meth:`list` as ``{"items", "nextPageToken"}``.
+
+        Simulator-only: the items are the replies' canonical texts.
+        Billed, gated and paged exactly as :meth:`list`.
+        """
+        page, _, as_of = self._page(part, parentId, maxResults, pageToken)
+        day = as_of.date().isoformat()
+        return {
+            "items": [comment_text(c, day) for c in page.items],
+            "nextPageToken": page.next_page_token,
+        }
+
+    def _page(
+        self, part: str, parentId: str, maxResults: int, pageToken: str | None
+    ) -> tuple[Page, int, datetime]:
+        """One gated call: (page of replies, reply total, request time)."""
         parts = {p.strip() for p in part.split(",") if p.strip()}
         if parts - {"snippet"}:
             raise BadRequestError(f"unknown part(s): {sorted(parts - {'snippet'})}")
@@ -52,18 +94,7 @@ class CommentsEndpoint:
 
         replies = self._store.replies_for_thread(parentId, as_of)
         fingerprint = str(stable_hash("comments-fingerprint", parentId))
-        page = paginate(replies, fingerprint, min(maxResults, 50), pageToken)
-        response: dict = {
-            "kind": "youtube#commentListResponse",
-            "etag": etag_for("commentList", parentId, as_of.date(), page.offset),
-            "pageInfo": {
-                "totalResults": len(replies),
-                "resultsPerPage": maxResults,
-            },
-            "items": [comment_resource(c, as_of) for c in page.items],
-        }
-        if page.next_page_token:
-            response["nextPageToken"] = page.next_page_token
-        if page.prev_page_token:
-            response["prevPageToken"] = page.prev_page_token
-        return response
+        page = paginate(
+            replies, fingerprint, maxResults, pageToken, page_bound=MAX_RESULTS
+        )
+        return page, len(replies), as_of

@@ -14,9 +14,12 @@ refund on every failed call:
 
 Campaigns do not run live.  :func:`~repro.core.campaign.run_campaign` and
 :class:`~repro.core.collector.SnapshotCollector` need the simulator's
-virtual clock (``service.clock``), which this service does not have, and
-the default batch engine calls ``service.search.sweep``, which a live
-endpoint does not offer.  A live campaign runner (a wall-clock schedule
+virtual clock (``service.clock``), which this service does not have, the
+default batch engine calls ``service.search.sweep``, and the collector
+captures the ID endpoints through the client's simulator-only capture
+methods (``videos_capture``, ``channels_capture``,
+``comment_threads_capture``, ``comment_replies_capture``), which call an
+endpoint's ``capture`` face; a live endpoint offers neither.  A live campaign runner (a wall-clock schedule
 over per-call collection) is not part of this repository.
 
 Design notes:

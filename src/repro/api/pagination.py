@@ -34,14 +34,19 @@ def paginate(
     max_results: int,
     page_token: str | None,
     hard_cap: int | None = None,
+    page_bound: int = 50,
 ) -> Page:
     """Slice one page out of ``items``.
 
     ``hard_cap`` enforces the search endpoint's 500-results-per-query limit:
     no token is issued past the cap even when more items exist.
+    ``page_bound`` is the endpoint's largest ``maxResults`` (50 for search
+    and playlist items, 100 for the comment endpoints).
     """
-    if not 1 <= max_results <= 50:
-        raise BadRequestError(f"maxResults must be within [1, 50], got {max_results}")
+    if not 1 <= max_results <= page_bound:
+        raise BadRequestError(
+            f"maxResults must be within [1, {page_bound}], got {max_results}"
+        )
     offset = 0
     if page_token is not None:
         offset = decode_page_token(fingerprint, page_token)

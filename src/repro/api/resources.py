@@ -4,13 +4,29 @@ Everything a response carries is rendered here, matching the field names,
 nesting, and string-typed numbers of the real API (statistics counts are
 strings, durations are ISO 8601, timestamps RFC 3339).  Metric values are
 rendered *as of* the request time via the store's growth model.
+
+The ID endpoints' items (videos, channels, comment threads, comments) are
+rendered straight to their canonical JSON text, exactly
+``json.dumps(resource, sort_keys=True)`` of the dict renderer's resource:
+the form a campaign captures and saves
+(:class:`~repro.util.jsonio.CapturedResources`).  A video's ``snippet``
+and ``contentDetails`` and a channel's three parts are pure functions of
+the immutable world, so each is encoded once per entity and interned on
+the store (shared by every service over it); only the etags, a video's
+``statistics`` and the comments are rendered per call.  The dict
+renderers stay as the reference the text renderers are tested against
+and as the source of the interned parts.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from datetime import datetime
+from json.encoder import encode_basestring_ascii
+from typing import Iterable
 
-from repro.util.rng import stable_hash
+from repro.util.rng import hashed_prefix, stable_hash
 from repro.util.timeutil import format_iso8601_duration, format_rfc3339
 from repro.world.entities import Channel, Comment, CommentThread, Video
 from repro.world.store import PlatformStore
@@ -23,6 +39,11 @@ __all__ = [
     "playlist_item_resource",
     "comment_resource",
     "comment_thread_resource",
+    "video_text",
+    "channel_text",
+    "comment_text",
+    "comment_thread_text",
+    "parse_items",
 ]
 
 #: CommentThreads:list inlines at most this many replies per thread; the
@@ -202,3 +223,147 @@ def comment_thread_resource(
             ]
         }
     return resource
+
+
+# -- canonical text --------------------------------------------------------
+#
+# Every text below equals ``json.dumps(resource, sort_keys=True)`` of the
+# dict renderer above: members in sorted key order, default separators,
+# strings through the encoder ``json.dumps`` itself uses (ASCII-only, so
+# characters outside the BMP come out as surrogate pairs).
+
+_blake2b = hashlib.blake2b
+_str = encode_basestring_ascii
+_canonical = json.JSONEncoder(sort_keys=True).encode
+_VIDEO_STATIC = frozenset({"snippet", "contentDetails"})
+_CHANNEL_PARTS = frozenset({"snippet", "statistics", "contentDetails"})
+_VIDEO_ETAG = hashed_prefix("etag", "video")
+_CHANNEL_ETAG = hashed_prefix("etag", "channel")
+_COMMENT_ETAG = hashed_prefix("etag", "comment")
+_THREAD_ETAG = hashed_prefix("etag", "thread")
+
+
+def _etag(prefix: str, entity_id: str, day: str) -> str:
+    """``etag_for(kind, entity_id, date)`` with ``prefix = hashed_prefix("etag", kind)``.
+
+    ``day`` is the request date's ISO form (``str(date)``); the key layout
+    is :func:`~repro.util.rng.stable_hash`'s, hashed once, and a 64-bit
+    digest's hex is ``format(value, "016x")``.
+    """
+    key = f"{prefix}{entity_id}\x1f{day}\x1f"
+    return _blake2b(key.encode("utf-8"), digest_size=8).hexdigest()
+
+
+def _video_statics(video: Video, store: PlatformStore) -> tuple[str, str, str]:
+    """(id, snippet, contentDetails) texts of a video, interned on the store."""
+    texts = store.video_texts.get(video.video_id)
+    if texts is None:
+        reference = video_resource(video, store, video.published_at, _VIDEO_STATIC)
+        texts = (
+            _str(video.video_id),
+            _canonical(reference["snippet"]),
+            _canonical(reference["contentDetails"]),
+        )
+        store.video_texts[video.video_id] = texts
+    return texts
+
+
+def video_text(
+    video: Video, store: PlatformStore, as_of: datetime, day: str,
+    parts: set[str],
+) -> str:
+    """:func:`video_resource` as canonical text; ``day`` is ``str(as_of.date())``."""
+    video_id, snippet, details = _video_statics(video, store)
+    etag = _etag(_VIDEO_ETAG, video.video_id, day)
+    head = f'{{"contentDetails": {details}, ' if "contentDetails" in parts else "{"
+    text = f'{head}"etag": "{etag}", "id": {video_id}, "kind": "youtube#video"'
+    if "snippet" in parts:
+        text += f', "snippet": {snippet}'
+    if "statistics" in parts:
+        views, likes, comments = store.metrics_at(video, as_of)
+        text += (
+            f', "statistics": {{"commentCount": "{comments}", '
+            f'"favoriteCount": "0", "likeCount": "{likes}", '
+            f'"viewCount": "{views}"}}'
+        )
+    return text + "}"
+
+
+def _channel_statics(channel: Channel, store: PlatformStore) -> tuple[str, ...]:
+    """(id, contentDetails, snippet, statistics) texts of a channel, interned."""
+    texts = store.channel_texts.get(channel.channel_id)
+    if texts is None:
+        reference = channel_resource(channel, channel.created_at, _CHANNEL_PARTS)
+        texts = (
+            _str(channel.channel_id),
+            _canonical(reference["contentDetails"]),
+            _canonical(reference["snippet"]),
+            _canonical(reference["statistics"]),
+        )
+        store.channel_texts[channel.channel_id] = texts
+    return texts
+
+
+def channel_text(
+    channel: Channel, store: PlatformStore, day: str, parts: set[str]
+) -> str:
+    """:func:`channel_resource` as canonical text; ``day`` is the request date's ISO form."""
+    channel_id, details, snippet, statistics = _channel_statics(channel, store)
+    etag = _etag(_CHANNEL_ETAG, channel.channel_id, day)
+    head = f'{{"contentDetails": {details}, ' if "contentDetails" in parts else "{"
+    text = f'{head}"etag": "{etag}", "id": {channel_id}, "kind": "youtube#channel"'
+    if "snippet" in parts:
+        text += f', "snippet": {snippet}'
+    if "statistics" in parts:
+        text += f', "statistics": {statistics}'
+    return text + "}"
+
+
+def comment_text(comment: Comment, day: str) -> str:
+    """:func:`comment_resource` as canonical text, rendered afresh (no memo).
+
+    A comment is captured on at most a couple of collections, so encoding
+    its parts once for reuse would cost more than it saves.
+    """
+    published = format_rfc3339(comment.published_at)
+    text = _str(comment.text)
+    parent = (
+        f'"parentId": {_str(comment.parent_id)}, '
+        if comment.parent_id is not None else ""
+    )
+    return (
+        f'{{"etag": "{_etag(_COMMENT_ETAG, comment.comment_id, day)}", '
+        f'"id": {_str(comment.comment_id)}, "kind": "youtube#comment", '
+        f'"snippet": {{"authorDisplayName": {_str(comment.author_display_name)}, '
+        f'"likeCount": {comment.like_count}, {parent}'
+        f'"publishedAt": "{published}", "textDisplay": {text}, '
+        f'"textOriginal": {text}, "updatedAt": "{published}", '
+        f'"videoId": {_str(comment.video_id)}}}}}'
+    )
+
+
+def comment_thread_text(
+    thread: CommentThread, day: str, top_level: str, replies: list[str]
+) -> str:
+    """:func:`comment_thread_resource` as canonical text.
+
+    ``top_level`` is the top-level comment's :func:`comment_text` and
+    ``replies`` the inline replies' texts (empty when the ``replies``
+    part was not asked for or the thread has none).
+    """
+    inline = (
+        f'"replies": {{"comments": [{", ".join(replies)}]}}, ' if replies else ""
+    )
+    return (
+        f'{{"etag": "{_etag(_THREAD_ETAG, thread.thread_id, day)}", '
+        f'"id": {_str(thread.thread_id)}, "kind": "youtube#commentThread", '
+        f'{inline}"snippet": {{"canReply": true, "isPublic": true, '
+        f'"topLevelComment": {top_level}, '
+        f'"totalReplyCount": {thread.total_reply_count}, '
+        f'"videoId": {_str(thread.video_id)}}}}}'
+    )
+
+
+def parse_items(texts: Iterable[str]) -> list[dict]:
+    """Item texts parsed into one fresh ``items`` list (one parse per call)."""
+    return json.loads("[" + ", ".join(texts) + "]")

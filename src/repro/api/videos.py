@@ -14,19 +14,23 @@ paper observes and classifies as noise rather than systematic behavior:
 
 from __future__ import annotations
 
+from datetime import date
+
 from repro.api.errors import BadRequestError
 from repro.api.fields import filter_response
-from repro.api.resources import etag_for, video_resource
-from repro.util.rng import stable_uniform
+from repro.api.resources import etag_for, parse_items, video_text
+from repro.util.rng import hashed_prefix, stable_uniform_suffixed
 from repro.world.store import PlatformStore
 
 __all__ = ["VideosEndpoint", "MAX_IDS_PER_CALL"]
 
 MAX_IDS_PER_CALL = 50
 _VALID_PARTS = {"snippet", "contentDetails", "statistics"}
-_STATIC_PARTS = frozenset({"snippet", "contentDetails"})
 #: Per-(video, day) probability of a transient metadata gap.
 METADATA_GAP_PROBABILITY = 0.015
+#: The gap draw is ``stable_uniform("videos-gap", video_id, day)``; with
+#: the head hashed once, the rest of the key is ``f"{video_id}\x1f{day}"``.
+_GAP_PREFIX = hashed_prefix("videos-gap")
 
 
 class VideosEndpoint:
@@ -37,12 +41,6 @@ class VideosEndpoint:
     def __init__(self, store: PlatformStore, service) -> None:
         self._store = store
         self._service = service
-        # Interned static resource parts: a video's snippet and
-        # contentDetails are pure functions of the immutable corpus — only
-        # the item etag and statistics vary with the request date — so they
-        # render through :func:`video_resource` once per video and are
-        # copied out per response (tags list included), never shared.
-        self._static_cache: dict[str, tuple[dict, dict]] = {}
 
     def list(
         self,
@@ -51,64 +49,51 @@ class VideosEndpoint:
         fields: str | None = None,
     ) -> dict:
         """Fetch up to 50 videos by ID; missing/gapped IDs are omitted."""
-        ids = _normalize_ids(id)
-        parts = _parse_parts(part)
-        as_of = self._service.begin_call(self.endpoint_name)
-        date = as_of.date()
-        date_label = date.isoformat()
-
-        items = []
-        for video_id in ids:
-            video = self._store.video(video_id)
-            if video is None or not video.alive_at(as_of):
-                continue
-            gap = stable_uniform("videos-gap", video_id, date_label)
-            if gap < METADATA_GAP_PROBABILITY:
-                continue
-            items.append(self._video_item(video, as_of, parts, date))
-
+        ids, today, items = self._items(part, id)
         response = {
             "kind": "youtube#videoListResponse",
-            "etag": etag_for("videoList", ",".join(ids), date),
+            "etag": etag_for("videoList", ",".join(ids), today),
             "pageInfo": {"totalResults": len(items), "resultsPerPage": len(items)},
-            "items": items,
+            "items": parse_items(text for _, _, text in items),
         }
         return filter_response(response, fields)
 
-    def _video_item(self, video, as_of, parts: set[str], date) -> dict:
-        """One ``youtube#video`` item, equal to :func:`video_resource`.
+    def capture(
+        self, part: str = "snippet", id: str | list[str] = ""
+    ) -> list[tuple[str, str, str]]:
+        """The items :meth:`list` returns, as ``(video ID, channel ID, text)``.
 
-        Static parts come from the per-video intern cache; the etag and
-        statistics are rendered fresh because they depend on the request
-        date (``tests/test_batch_collection.py`` pins the equality).
+        Simulator-only: each text is the item's canonical JSON
+        (``json.dumps(item, sort_keys=True)``), so a collector keeps it as
+        its capture without encoding anything.  Billed and gated exactly
+        as :meth:`list`.
         """
-        video_id = video.video_id
-        cached = self._static_cache.get(video_id)
-        if cached is None:
-            template = video_resource(video, self._store, as_of, _STATIC_PARTS)
-            cached = (template["snippet"], template["contentDetails"])
-            self._static_cache[video_id] = cached
-        resource: dict = {
-            "kind": "youtube#video",
-            "etag": etag_for("video", video_id, date),
-            "id": video_id,
-        }
-        if "snippet" in parts:
-            snippet = dict(cached[0])
-            snippet["tags"] = list(snippet["tags"])
-            resource["snippet"] = snippet
-        if "contentDetails" in parts:
-            resource["contentDetails"] = dict(cached[1])
-        if "statistics" in parts:
-            views, likes, comments = self._store.metrics_at(video, as_of)
-            # Mirrors video_resource's statistics part: string-typed counts.
-            resource["statistics"] = {
-                "viewCount": str(views),
-                "likeCount": str(likes),
-                "favoriteCount": "0",
-                "commentCount": str(comments),
-            }
-        return resource
+        return self._items(part, id)[2]
+
+    def _items(
+        self, part: str, id: str | list[str]
+    ) -> tuple[list[str], date, list[tuple[str, str, str]]]:
+        """One gated call: (requested IDs, request date, rendered items)."""
+        ids = _normalize_ids(id)
+        parts = _parse_parts(part)
+        as_of = self._service.begin_call(self.endpoint_name)
+        today = as_of.date()
+        day = today.isoformat()
+        store = self._store
+
+        items = []
+        for video_id in ids:
+            video = store.video(video_id)
+            if video is None or not video.alive_at(as_of):
+                continue
+            gap = stable_uniform_suffixed(_GAP_PREFIX, f"{video_id}\x1f{day}")
+            if gap < METADATA_GAP_PROBABILITY:
+                continue
+            items.append(
+                (video_id, video.channel_id,
+                 video_text(video, store, as_of, day, parts))
+            )
+        return ids, today, items
 
 
 def _normalize_ids(id_param: str | list[str]) -> list[str]:

@@ -42,6 +42,7 @@ from repro.core.datasets import Snapshot, TopicSnapshot
 from repro.obs.observer import NullObserver, Observer
 from repro.resilience.breaker import CircuitOpenError
 from repro.resilience.checkpoint import PartialSnapshotStore
+from repro.util.jsonio import CapturedResources
 from repro.util.timeutil import format_rfc3339, hour_range
 from repro.world.topics import TopicSpec
 
@@ -244,11 +245,9 @@ class SnapshotCollector:
         if swept_bins and self._partial is not None:
             self._partial.record_hours(spec.key, swept_bins)
 
-        # The captures are built as plain dicts and captured as text once,
-        # when the snapshot is constructed.
-        video_meta: dict[str, dict] = {}
-        channel_meta: dict[str, dict] = {}
-        comments: dict[str, dict] = {}
+        # The endpoints render each captured resource as its canonical
+        # text, which the snapshot keeps as is: nothing is encoded here.
+        video_meta = channel_meta = comments = CapturedResources()
         if self._collect_metadata or with_comments:
             video_ids = sorted(
                 {vid for ids in hour_video_ids.values() for vid in ids}
@@ -339,43 +338,46 @@ class SnapshotCollector:
 
     def _fetch_metadata(
         self, video_ids: list[str]
-    ) -> tuple[dict[str, dict], dict[str, dict]]:
+    ) -> tuple[CapturedResources, CapturedResources]:
         """Videos:list then Channels:list for everything this topic returned."""
-        video_meta: dict[str, dict] = {}
-        channel_meta: dict[str, dict] = {}
-        if not video_ids:
-            return video_meta, channel_meta
-        for resource in self._client.videos_list(video_ids):
-            video_meta[resource["id"]] = resource
-        channel_ids = sorted(
-            {r["snippet"]["channelId"] for r in video_meta.values()}
+        video_texts: dict[str, str] = {}
+        channel_ids: set[str] = set()
+        for video_id, channel_id, text in self._client.videos_capture(video_ids):
+            video_texts[video_id] = text
+            channel_ids.add(channel_id)
+        channel_texts = dict(self._client.channels_capture(sorted(channel_ids)))
+        return (
+            CapturedResources.from_texts(video_texts),
+            CapturedResources.from_texts(channel_texts),
         )
-        for resource in self._client.channels_list(channel_ids):
-            channel_meta[resource["id"]] = resource
-        return video_meta, channel_meta
 
-    def _fetch_comments(self, video_ids: list[str]) -> dict[str, dict]:
+    def _fetch_comments(self, video_ids: list[str]) -> CapturedResources:
         """Full comment capture for every returned video.
 
         Threads give the top-level comments plus up to five inline replies;
         threads reporting more replies than were inlined are completed via
-        Comments:list, as Appendix B.2 describes.
+        Comments:list, as Appendix B.2 describes.  Each video's payload is
+        ``{"replies": [...], "top_level": [...]}``, spliced from the
+        comments' texts.
         """
-        comments: dict[str, dict] = {}
+        comments: dict[str, str] = {}
         for video_id in video_ids:
             try:
-                threads = self._client.comment_threads_all(video_id)
+                threads = self._client.comment_threads_capture(video_id)
             except (NotFoundError, ForbiddenError):
                 continue  # deleted between search and comment fetch
-            top_level: list[dict] = []
-            replies: list[dict] = []
+            top_level: list[str] = []
+            replies: list[str] = []
             for thread in threads:
-                top_level.append(thread["snippet"]["topLevelComment"])
-                inline = thread.get("replies", {}).get("comments", [])
-                total = int(thread["snippet"]["totalReplyCount"])
-                if total > len(inline):
-                    replies.extend(self._client.comment_replies_all(thread["id"]))
+                top_level.append(thread.top_level)
+                if thread.total_reply_count > len(thread.replies):
+                    replies.extend(
+                        self._client.comment_replies_capture(thread.thread_id)
+                    )
                 else:
-                    replies.extend(inline)
-            comments[video_id] = {"top_level": top_level, "replies": replies}
-        return comments
+                    replies.extend(thread.replies)
+            comments[video_id] = (
+                f'{{"replies": [{", ".join(replies)}], '
+                f'"top_level": [{", ".join(top_level)}]}}'
+            )
+        return CapturedResources.from_texts(comments)

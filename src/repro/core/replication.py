@@ -8,7 +8,10 @@ per seed and summarizes the headline metrics across replicates:
 * final first-to-last Jaccard per topic (Figure 1's endpoint);
 * the Markov diagonal P(P|PP), P(A|AA) (Figure 3);
 * the signs of the key regression coefficients (Table 3/6);
-* Higgs-most-consistent and pool/consistency anti-correlation flags.
+* Higgs-most-consistent and pool/consistency anti-correlation.
+
+Each claim is checked as a margin (how far a replicate is from breaking
+it), so the report shows drift toward a flip before the flip.
 """
 
 from __future__ import annotations
@@ -45,20 +48,34 @@ class ReplicateOutcome:
     duration_beta: float
     likes_beta: float
     higgs_beta: float
-    higgs_most_consistent: bool
     pool_consistency_rho: float
 
+    @property
+    def higgs_lead(self) -> float:
+        """Final Jaccard of Higgs minus the best other topic's (0 at a tie)."""
+        higgs = self.j_first_last["higgs"]
+        others = [j for topic, j in self.j_first_last.items() if topic != "higgs"]
+        return higgs - max(others, default=higgs)
 
-#: The paper's qualitative claims, each a predicate on one replicate.
-_CLAIMS: dict[str, Callable[[ReplicateOutcome], bool]] = {
-    "duration < 0": lambda o: o.duration_beta < 0,
-    "likes > 0": lambda o: o.likes_beta > 0,
-    "higgs > 0": lambda o: o.higgs_beta > 0,
-    "higgs most consistent": lambda o: o.higgs_most_consistent,
-    "pool-consistency rho < 0": lambda o: o.pool_consistency_rho < 0,
-    "P(P|PP) > 0.5": lambda o: o.markov_pp > 0.5,
-    "P(A|AA) > 0.5": lambda o: o.markov_aa > 0.5,
+
+#: The paper's qualitative claims, each as a margin on one replicate: how
+#: far the replicate is from breaking the claim, in the claim's own units.
+#: A claim holds when its margin is positive; "higgs most consistent" also
+#: holds at 0, a tie for the top.
+_CLAIMS: dict[str, Callable[[ReplicateOutcome], float]] = {
+    "duration < 0": lambda o: -o.duration_beta,
+    "likes > 0": lambda o: o.likes_beta,
+    "higgs > 0": lambda o: o.higgs_beta,
+    "higgs most consistent": lambda o: o.higgs_lead,
+    "pool-consistency rho < 0": lambda o: -o.pool_consistency_rho,
+    "P(P|PP) > 0.5": lambda o: o.markov_pp - 0.5,
+    "P(A|AA) > 0.5": lambda o: o.markov_aa - 0.5,
 }
+_HOLDS_AT_ZERO = frozenset({"higgs most consistent"})
+
+
+def _holds(claim: str, margin: float) -> bool:
+    return margin > 0 or (margin == 0 and claim in _HOLDS_AT_ZERO)
 
 
 @dataclass
@@ -72,20 +89,39 @@ class ReplicationSummary:
         """Number of replicates."""
         return len(self.outcomes)
 
+    def margins(self) -> dict[str, list[float]]:
+        """Per claim, each replicate's margin (in seed order)."""
+        return {
+            claim: [margin(o) for o in self.outcomes]
+            for claim, margin in _CLAIMS.items()
+        }
+
     def sign_stability(self) -> dict[str, float]:
         """Fraction of replicates agreeing with the paper's signs."""
         if not self.outcomes:
             return {}
         return {
-            claim: np.mean([holds(o) for o in self.outcomes])
-            for claim, holds in _CLAIMS.items()
+            claim: np.mean([_holds(claim, m) for m in margins])
+            for claim, margins in self.margins().items()
         }
 
     def failing_seeds(self) -> dict[str, list[int]]:
         """Per claim, the seeds whose replicate broke it (in seed order)."""
         return {
-            claim: [o.seed for o in self.outcomes if not holds(o)]
-            for claim, holds in _CLAIMS.items()
+            claim: [
+                o.seed for o, m in zip(self.outcomes, margins)
+                if not _holds(claim, m)
+            ]
+            for claim, margins in self.margins().items()
+        }
+
+    def tightest(self) -> dict[str, tuple[float, int]]:
+        """Per claim, the smallest margin and the seed that has it."""
+        if not self.outcomes:
+            return {}
+        return {
+            claim: min(zip(margins, (o.seed for o in self.outcomes)))
+            for claim, margins in self.margins().items()
         }
 
     def metric_bands(self) -> dict[str, tuple[float, float]]:
@@ -104,17 +140,24 @@ class ReplicationSummary:
         }
 
     def render(self) -> str:
-        """Replication report as a text table pair."""
+        """Replication report as a text table pair.
+
+        Each claim's row names the seeds that broke it and the smallest
+        margin with its seed, so drift toward a flip shows before it
+        happens.
+        """
         stability = self.sign_stability()
         failing = self.failing_seeds()
+        tightest = self.tightest()
         rows = [
             [claim, f"{share:.0%}",
-             " ".join(str(seed) for seed in failing[claim]) or "-"]
+             " ".join(str(seed) for seed in failing[claim]) or "-",
+             tightest[claim][0], tightest[claim][1]]
             for claim, share in stability.items()
         ]
         table = render_table(
             ["qualitative claim", f"holds in (of {self.n} seeds)",
-             "fails at seeds"],
+             "fails at seeds", "smallest margin", "at seed"],
             rows,
             title="Replication: sign/ordering stability across seeds",
         )
@@ -175,7 +218,6 @@ def _replicate_seed(
         duration_beta=ols.coefficient("duration"),
         likes_beta=ols.coefficient("likes"),
         higgs_beta=ols.coefficient("higgs (topic)"),
-        higgs_most_consistent=j_final["higgs"] == max(j_final.values()),
         pool_consistency_rho=rho.statistic,
     )
 

@@ -329,7 +329,8 @@ class SimulatorGateway:
         the endpoints' row caches are the campaign's own; the store and the
         engine, whose caches are pure functions of the shared world, are
         the warm service's.  So a churn cold start is paid once per
-        (topic, date), not once per campaign.
+        (topic, date), not once per campaign, and each video's and
+        channel's static resource text is rendered once for all of them.
         """
         warm = self.service
         return YouTubeService(

@@ -83,6 +83,12 @@ class PlatformStore:
         self._upload_positions: np.ndarray | None = None
         self._upload_bounds: np.ndarray | None = None
         self._channel_gidx_base: dict[str, int] = {}
+        # Canonical JSON texts of each entity's static resource parts
+        # (entity ID -> texts), filled by repro.api.resources on first
+        # render.  Texts are immutable and a racing double render writes
+        # the same value, so they need no lock.
+        self.video_texts: dict[str, tuple[str, ...]] = {}
+        self.channel_texts: dict[str, tuple[str, ...]] = {}
 
     # -- basic lookups ------------------------------------------------------
 

@@ -99,20 +99,11 @@ class TestReplication:
     def test_render_names_failing_seeds(self):
         """A broken claim's row names the seeds that broke it."""
 
-        def outcome(seed, **overrides):
-            fields = dict(
-                seed=seed, j_first_last={"blm": 0.5, "higgs": 0.8},
-                markov_pp=0.9, markov_aa=0.8, duration_beta=-0.2,
-                likes_beta=0.3, higgs_beta=0.4, higgs_most_consistent=True,
-                pool_consistency_rho=-0.5,
-            )
-            fields.update(overrides)
-            return ReplicateOutcome(**fields)
-
         summary = ReplicationSummary(outcomes=[
-            outcome(101),
-            outcome(202, likes_beta=-0.1),
-            outcome(303, higgs_most_consistent=False, likes_beta=-0.2),
+            _outcome(101),
+            _outcome(202, likes_beta=-0.1),
+            _outcome(303, j_first_last={"blm": 0.9, "higgs": 0.8},
+                     likes_beta=-0.2),
         ])
         failing = summary.failing_seeds()
         assert failing["higgs most consistent"] == [303]
@@ -121,12 +112,73 @@ class TestReplication:
         rows = {
             line.split("|")[1].strip(): line.split("|")[3].strip()
             for line in summary.render().splitlines()
-            if line.count("|") == 4
+            if line.count("|") == 6
         }
         assert rows["higgs most consistent"] == "303"
         assert rows["likes > 0"] == "202 303"
         assert rows["duration < 0"] == "-"
         assert not summary.all_claims_hold
+
+    def test_margins_are_positive_exactly_when_claims_hold(self):
+        """Margins give the old predicates' verdicts; a tie for the top
+        keeps "higgs most consistent", a tie at a strict bound breaks it."""
+        summary = ReplicationSummary(outcomes=[
+            _outcome(101, j_first_last={"blm": 0.8, "brexit": 0.8,
+                                        "higgs": 0.8}),
+            _outcome(202, markov_pp=0.5, duration_beta=0.0),
+            _outcome(303, j_first_last={"blm": 0.5, "higgs": 0.74,
+                                        "brexit": 0.76},
+                     pool_consistency_rho=-0.01),
+        ])
+        margins = summary.margins()
+        assert margins["higgs most consistent"] == pytest.approx([0.0, 0.3, -0.02])
+        assert margins["P(P|PP) > 0.5"] == pytest.approx([0.4, 0.0, 0.4])
+        assert margins["duration < 0"] == pytest.approx([0.2, 0.0, 0.2])
+        # The predicates the margins replace, on the same outcomes.
+        predicates = {
+            "duration < 0": lambda o: o.duration_beta < 0,
+            "likes > 0": lambda o: o.likes_beta > 0,
+            "higgs > 0": lambda o: o.higgs_beta > 0,
+            "higgs most consistent":
+                lambda o: o.j_first_last["higgs"] == max(o.j_first_last.values()),
+            "pool-consistency rho < 0": lambda o: o.pool_consistency_rho < 0,
+            "P(P|PP) > 0.5": lambda o: o.markov_pp > 0.5,
+            "P(A|AA) > 0.5": lambda o: o.markov_aa > 0.5,
+        }
+        assert summary.failing_seeds() == {
+            claim: [o.seed for o in summary.outcomes if not holds(o)]
+            for claim, holds in predicates.items()
+        }
+        assert summary.failing_seeds()["higgs most consistent"] == [303]
+        assert summary.failing_seeds()["P(P|PP) > 0.5"] == [202]
+        assert summary.failing_seeds()["duration < 0"] == [202]
+        assert summary.sign_stability()["higgs most consistent"] == pytest.approx(2 / 3)
+        assert not summary.all_claims_hold
+        tightest = summary.tightest()
+        assert tightest["higgs most consistent"] == (pytest.approx(-0.02), 303)
+        assert tightest["pool-consistency rho < 0"] == (pytest.approx(0.01), 303)
+        rows = {
+            line.split("|")[1].strip(): [cell.strip() for cell in line.split("|")[4:6]]
+            for line in summary.render().splitlines()
+            if line.count("|") == 6
+        }
+        assert rows["higgs most consistent"] == ["-0.020", "303"]
+        assert rows["duration < 0"] == ["0", "202"]
+        # Every claim holding, the tightest at a tie, is a pass.
+        passing = ReplicationSummary(outcomes=summary.outcomes[:1])
+        assert passing.all_claims_hold
+        assert passing.tightest()["higgs most consistent"] == (0.0, 101)
+
+
+def _outcome(seed, **overrides):
+    """A hand-built replicate on which every claim holds unless overridden."""
+    fields = dict(
+        seed=seed, j_first_last={"blm": 0.5, "higgs": 0.8},
+        markov_pp=0.9, markov_aa=0.8, duration_beta=-0.2,
+        likes_beta=0.3, higgs_beta=0.4, pool_consistency_rho=-0.5,
+    )
+    fields.update(overrides)
+    return ReplicateOutcome(**fields)
 
 
 class TestVideoCategories:

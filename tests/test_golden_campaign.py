@@ -75,6 +75,8 @@ import pytest
 from repro.api import QuotaPolicy, YouTubeClient, build_service
 from repro.core import paper_campaign_config, run_campaign
 from repro.core.datasets import CampaignResult
+from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.policy import RetryBudget, RetryPolicy
 from repro.world import build_world
 from repro.world.corpus import scale_topics
 from repro.world.topics import paper_topics
@@ -111,21 +113,27 @@ def golden_config(specs, golden: dict = GOLDEN):
 
 
 def _run(golden_world, golden_specs, tmp_path, name, golden: dict = GOLDEN,
-         **campaign_kwargs):
+         service=None, client_kwargs=None, **campaign_kwargs):
     """Run a golden campaign on one engine; return (campaign, path, units)."""
-    service = build_service(
-        golden_world,
-        seed=golden["seed"],
-        specs=golden_specs,
-        quota_policy=QuotaPolicy(researcher_program=True),
-    )
+    if service is None:
+        service = _service(golden_world, golden_specs, golden)
     campaign = run_campaign(
-        golden_config(golden_specs, golden), YouTubeClient(service),
+        golden_config(golden_specs, golden),
+        YouTubeClient(service, **(client_kwargs or {})),
         **campaign_kwargs,
     )
     path = tmp_path / f"{name}.jsonl"
     campaign.save(path)
     return campaign, path, service.quota.total_used
+
+
+def _service(golden_world, golden_specs, golden: dict = GOLDEN):
+    return build_service(
+        golden_world,
+        seed=golden["seed"],
+        specs=golden_specs,
+        quota_policy=QuotaPolicy(researcher_program=True),
+    )
 
 
 def _assert_golden(payload: bytes, units: int, golden: dict = GOLDEN) -> None:
@@ -184,3 +192,67 @@ class TestGoldenComments:
         resaved = tmp_path / f"{engine}-resaved.jsonl"
         CampaignResult.load(path).save(resaved)
         assert resaved.read_bytes() == payload
+
+    def test_id_capture_under_faults_matches_golden_sha256(
+        self, golden_world, golden_specs, tmp_path
+    ):
+        """Transient and rate-limit faults on all four ID endpoints are
+        retried away: same bytes, same per-day ledger, each completed call
+        billed once.  An armed plan sends search down the per-call engine."""
+
+        class Recorder:
+            """An armed fault gate that only records each attempt's endpoint."""
+
+            def __init__(self) -> None:
+                self.endpoints: list[str] = []
+
+            def maybe_fail(self, endpoint: str) -> None:
+                self.endpoints.append(endpoint)
+
+        clean = _service(golden_world, golden_specs, GOLDEN_COMMENTS)
+        recorder = Recorder()
+        clean.transport.faults = recorder
+        _, clean_path, _ = _run(
+            golden_world, golden_specs, tmp_path, "clean", GOLDEN_COMMENTS,
+            service=clean,
+        )
+        # Fault the first, a middle and the last call of each ID endpoint.
+        # Each fault costs one retry attempt, which shifts every later
+        # call's tick by one.
+        targets = []
+        for endpoint in ("videos.list", "channels.list",
+                         "commentThreads.list", "comments.list"):
+            ticks = [t for t, e in enumerate(recorder.endpoints) if e == endpoint]
+            assert ticks, endpoint
+            targets += [ticks[0], ticks[len(ticks) // 2], ticks[-1]]
+        specs = [
+            FaultSpec(
+                start=tick + shift, count=1, endpoint=recorder.endpoints[tick],
+                error=("backendError", "rateLimitExceeded")[shift % 2],
+            )
+            for shift, tick in enumerate(sorted(set(targets)))
+        ]
+
+        faulted = _service(golden_world, golden_specs, GOLDEN_COMMENTS)
+        plan = FaultPlan(specs)
+        faulted.transport.faults = plan
+        budget = RetryBudget(1_000)
+        _, path, units = _run(
+            golden_world, golden_specs, tmp_path, "faulted", GOLDEN_COMMENTS,
+            service=faulted,
+            client_kwargs={"retry_policy": RetryPolicy(max_attempts=4, budget=budget)},
+        )
+        assert len(plan.injected) == len(specs)
+        assert {reason for _, _, reason in plan.injected} == {
+            "backendError", "rateLimitExceeded"
+        }
+        assert {endpoint for _, endpoint, _ in plan.injected} == {
+            "videos.list", "channels.list", "commentThreads.list", "comments.list"
+        }
+        assert budget.limit - budget.remaining == len(specs)  # one retry each
+        _assert_golden(path.read_bytes(), units, GOLDEN_COMMENTS)
+        assert path.read_bytes() == clean_path.read_bytes()
+        assert faulted.quota.usage_by_day() == clean.quota.usage_by_day()
+        assert (faulted.transport.calls_by_endpoint()
+                == clean.transport.calls_by_endpoint())
+        assert faulted.transport.total_calls == len(recorder.endpoints)
