@@ -12,15 +12,17 @@
 #                     BENCHMARK.json names, and the span wrappers still
 #                     find the collector/client methods they wrap by name
 #   make doclinks     README.md / docs/*.md cross-reference check only
-#   make chaos        fastest fault-injection scenario (see docs/RESILIENCE.md)
+#   make chaos        every fault-injection scenario, each over a spill
+#                     directory (see docs/RESILIENCE.md)
 #   make bench        the repository benchmark (perfbench/), end to end and
 #                     traced, recorded in BENCH_campaign.json; writes nothing
 #                     if either run fails its checks (see docs/PERFORMANCE.md)
 #   make serve-smoke  serve + loadgen burst: byte-identity vs the
 #                     in-process reference and exact ledger reconciliation
 #   make orchestrator-smoke  kill -9 the orchestrator daemon mid-campaign,
-#                     resume over the same workdir, assert byte-identity
-#                     and exact ledger reconciliation (see docs/ORCHESTRATOR.md)
+#                     resume over the same workdir, assert byte-identity of
+#                     the campaign's spill store and exact ledger
+#                     reconciliation (see docs/ORCHESTRATOR.md)
 #   make spill-smoke  kill -9 a spilling campaign mid-stream, resume over
 #                     the same spill directory, assert the recovered store
 #                     and analyses match an uninterrupted in-memory run
@@ -51,7 +53,11 @@ doclinks:
 	$(PYTHON) tools/check_doc_links.py
 
 chaos:
-	PYTHONPATH=src $(PYTHON) -m repro chaos --scenario malformed-json
+	@scenarios=$$(PYTHONPATH=src $(PYTHON) -m repro chaos --list | cut -d' ' -f1); \
+	test -n "$$scenarios" || exit 1; \
+	for scenario in $$scenarios; do \
+		PYTHONPATH=src $(PYTHON) -m repro chaos --scenario $$scenario || exit 1; \
+	done
 
 bench:
 	$(PYTHON) tools/record_bench.py

@@ -56,16 +56,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="capture comments on the first and last collections")
     campaign.add_argument("--out", metavar="PATH", default=None,
                           help="persist the campaign as JSONL")
-    campaign.add_argument("--checkpoint", metavar="PATH", default=None,
-                          help="checkpoint after every snapshot and resume "
-                               "from an existing file; a .partial sidecar "
-                               "additionally survives mid-snapshot crashes")
     campaign.add_argument("--spill", metavar="DIR", default=None,
                           help="spill each snapshot to a disk-backed "
                                "columnar store as it completes (bounded "
-                               "memory; the directory is the durable "
-                               "campaign and resumes like a checkpoint); "
-                               "analyze/export read the directory directly")
+                               "memory); the directory is the durable "
+                               "campaign: rerunning over it resumes, "
+                               "mid-snapshot crashes included, and "
+                               "analyze/export read it directly")
     campaign.add_argument("--trace", metavar="PATH", default=None,
                           help="write a JSONL observability trace of the run "
                                "(render it with `repro obs report`)")
@@ -310,14 +307,9 @@ def _cmd_campaign(args) -> int:
         from repro.core import CampaignStream
 
         stream = CampaignStream(tuple(spec.key for spec in specs))
-    if args.spill and args.checkpoint:
-        print("campaign: --spill and --checkpoint are mutually exclusive "
-              "(the spill directory is the checkpoint)", file=sys.stderr)
-        return 2
     campaign = run_campaign(
         config, YouTubeClient(service), progress=progress,
-        checkpoint_path=args.checkpoint, engine=args.engine, stream=stream,
-        spill=args.spill, retain_snapshots=not args.spill,
+        engine=args.engine, stream=stream, spill=args.spill,
     )
     if args.spill:
         from repro.core import SpillStore

@@ -2,25 +2,29 @@
 
 Advances the service's virtual clock to each scheduled collection date and
 runs the collector; the result is the input every analysis module consumes.
-Long campaigns can checkpoint after every snapshot and resume — a real
-12-week collection survives process restarts the same way.
+A campaign runs in memory (every snapshot returned) or over a spill
+directory (:class:`~repro.core.spill.SpillStore`), its one durable home:
+each snapshot is appended the moment it completes, and rerunning over the
+same directory resumes where the last process stopped — a real 12-week
+collection survives process restarts the same way.
 
-Checkpointing is two-level.  The campaign checkpoint persists whole
-snapshots; a ``<checkpoint>.partial`` sidecar
+Resumption is two-level.  The spill store persists whole snapshots; its
+``partial.jsonl`` sidecar
 (:class:`~repro.resilience.checkpoint.PartialSnapshotStore`) additionally
 persists every completed *hour-bin query* of the snapshot in flight, so a
 process killed mid-snapshot resumes by re-issuing only the missing bins —
 at 100 units per search that is the difference between losing a few
 queries and losing a quota day.  The sidecar is cleared the moment its
-snapshot lands in the campaign checkpoint.
+snapshot lands in the store.
 
 Observability: the runner emits ``campaign.checkpoint`` events (action
-``resume`` when an existing checkpoint is loaded, ``resume-partial`` when
-a mid-snapshot sidecar seeds the next collection, ``save`` after each
-persisted snapshot) through the observer, which also flows into the
+``resume-spill`` when the spill directory already holds snapshots,
+``resume-partial`` when a mid-snapshot sidecar seeds the next collection)
+through the observer; each spilled snapshot is a ``spill.write`` event of
+the store.  The observer also flows into the
 :class:`~repro.core.collector.SnapshotCollector` for snapshot/topic
-events.  The observer defaults to the client's (ultimately the
-service's), so a single attachment instruments the whole run.
+events, and defaults to the client's (ultimately the service's), so a
+single attachment instruments the whole run.
 """
 
 from __future__ import annotations
@@ -43,50 +47,41 @@ if TYPE_CHECKING:
 __all__ = ["run_campaign"]
 
 
-def _load_checkpoint(checkpoint_path: str | Path) -> CampaignResult:
-    """Load a checkpoint, wrapping parse failures in a clear message."""
-    try:
-        return CampaignResult.load(checkpoint_path)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(
-            f"checkpoint {checkpoint_path} is corrupt or not a campaign "
-            f"file — delete it (losing collected snapshots) or restore it "
-            f"from a backup before resuming: {exc}"
-        ) from exc
-
-
 def run_campaign(
     config: CampaignConfig,
     client: YouTubeClient,
     progress: Callable[[int, int], None] | None = None,
-    checkpoint_path: str | Path | None = None,
     observer: Observer | None = None,
     tolerate_failures: bool = False,
     stream: "CampaignStream | None" = None,
     partial: PartialSnapshotStore | None = None,
     spill: "SpillStore | str | Path | None" = None,
-    retain_snapshots: bool = True,
     engine: str = "batch",
 ) -> CampaignResult:
     """Run the full campaign against a service.
 
     The clock is *set* to each collection date; determinism of the
     simulator makes re-runs reproducible.  ``progress`` is called as
-    ``progress(done, total)`` after each snapshot.
+    ``progress(done, total)`` after each snapshot (once it is durable,
+    when spilling).
 
-    With ``checkpoint_path``, the partial campaign is persisted after every
-    snapshot, and an existing checkpoint is resumed: already-collected
-    snapshots are loaded instead of re-queried (their dates must match the
-    config's schedule).  A checkpoint that cannot be parsed, or whose
-    snapshots do not line up with the schedule, raises ``ValueError``
-    rather than silently recollecting or mixing schedules.  A
-    ``<checkpoint>.partial`` sidecar left by a run that died mid-snapshot
-    seeds the next collection with its completed hour bins.
+    ``spill`` (a :class:`~repro.core.spill.SpillStore` or a directory
+    path) makes the campaign durable: each snapshot is appended to the
+    disk-backed columnar store as its collection completes, and whatever
+    the store already holds is resumed instead of re-queried.  Spilled
+    snapshots must line up with the config's schedule; a store that
+    does not, or cannot be opened, raises ``ValueError`` rather than
+    silently recollecting or mixing schedules.  A ``partial.jsonl``
+    sidecar inside the directory carries the mid-snapshot query-level
+    resume state.  A spilled run holds one snapshot at a time, so memory
+    stays bounded regardless of campaign length: the returned
+    :class:`CampaignResult` has no snapshots — read the store.  Without
+    ``spill`` the run is in memory and returns every snapshot.
 
     ``tolerate_failures`` lets the collector mark permanently-failed hour
     bins as missing (degraded snapshots) instead of aborting; quota
-    exhaustion still aborts after checkpointing, because only a new quota
-    day can fix it — the run resumes cleanly once it arrives.
+    exhaustion still aborts, because only a new quota day can fix it —
+    a spilled run resumes cleanly once it arrives.
 
     ``engine`` picks the collector's execution strategy: ``"batch"``
     (default) runs each eligible topic's whole hour-bin sweep as one
@@ -94,49 +89,22 @@ def run_campaign(
     forces the per-bin reference loop; both are byte-identical (see
     :mod:`repro.core.batch`).
 
-    ``partial`` overrides the query-level checkpoint store — any object
+    ``partial`` overrides the query-level resume store — any object
     with the :class:`~repro.resilience.checkpoint.PartialSnapshotStore`
     interface works; the orchestrator passes a store that journals bins
-    into its write-ahead log instead of a sidecar file.
+    into its write-ahead log instead of the spill directory's sidecar.
 
     ``stream`` attaches a :class:`~repro.core.streaming.CampaignStream`:
-    every snapshot — resumed from a checkpoint or freshly collected — is
+    every snapshot — resumed from the store or freshly collected — is
     fed to it the moment it is available, so RQ1/RQ2 analyses accumulate
     incrementally instead of waiting for the final merge.
-
-    ``spill`` (a :class:`~repro.core.spill.SpillStore` or a directory
-    path) spills each snapshot durably to the disk-backed columnar store
-    as its collection completes, and resumes from whatever the store
-    already holds — it *is* the checkpoint, so it is mutually exclusive
-    with ``checkpoint_path``.  A ``partial.jsonl`` sidecar inside the
-    spill directory carries the mid-snapshot query-level resume state.
-    With ``retain_snapshots=False`` (spill mode only) the runner drops
-    each raw snapshot after spilling it, so memory stays bounded by one
-    snapshot regardless of campaign length; the returned
-    :class:`CampaignResult` then has no snapshots — read the store.
     """
     observer = observer or getattr(client, "observer", None) or NullObserver()
     topic_keys = tuple(spec.key for spec in config.topics)
-    if spill is not None and checkpoint_path is not None:
-        raise ValueError(
-            "spill and checkpoint_path are mutually exclusive: the spill "
-            "directory is the campaign's durable state"
-        )
-    if not retain_snapshots and spill is None:
-        raise ValueError(
-            "retain_snapshots=False needs a spill store to hold the "
-            "campaign; otherwise the snapshots would simply be lost"
-        )
     if spill is not None and not isinstance(spill, SpillStore):
         spill = SpillStore.attach(spill, topic_keys, observer=observer)
-    if partial is None:
-        # ``partial`` lets a caller supply any PartialSnapshotStore-shaped
-        # store (the orchestrator journals bins instead of using a sidecar
-        # file); the default remains the <checkpoint>.partial sidecar.
-        if checkpoint_path is not None:
-            partial = PartialSnapshotStore(str(checkpoint_path) + ".partial")
-        elif spill is not None:
-            partial = PartialSnapshotStore(spill.directory / "partial.jsonl")
+    if partial is None and spill is not None:
+        partial = PartialSnapshotStore(spill.directory / "partial.jsonl")
     collector = SnapshotCollector(
         client, config.topics, collect_metadata=config.collect_metadata,
         observer=observer, partial=partial,
@@ -145,26 +113,6 @@ def run_campaign(
     dates = config.collection_dates
     snapshots = []
     done = 0
-
-    if checkpoint_path is not None and Path(checkpoint_path).exists():
-        previous = _load_checkpoint(checkpoint_path)
-        for snap in previous.snapshots:
-            if snap.index >= len(dates):
-                raise ValueError(
-                    f"checkpoint has snapshot {snap.index} beyond the "
-                    f"{len(dates)}-collection schedule"
-                )
-            if snap.collected_at != dates[snap.index]:
-                raise ValueError(
-                    f"checkpoint snapshot {snap.index} was collected at "
-                    f"{snap.collected_at}, schedule says {dates[snap.index]}"
-                )
-        snapshots = list(previous.snapshots)
-        done = len(snapshots)
-        observer.on_checkpoint("resume", str(checkpoint_path), done)
-        if stream is not None:
-            for snap in snapshots:
-                stream.add_snapshot(snap)
 
     if spill is not None and spill.n_snapshots:
         # The manifest alone says what was collected and when — the
@@ -182,12 +130,9 @@ def run_campaign(
                 )
         done = spill.n_snapshots
         observer.on_checkpoint("resume-spill", str(spill.directory), done)
-        if stream is not None or retain_snapshots:
+        if stream is not None:
             for snap in spill.iter_snapshots():
-                if stream is not None:
-                    stream.add_snapshot(snap)
-                if retain_snapshots:
-                    snapshots.append(snap)
+                stream.add_snapshot(snap)
 
     if partial is not None and partial.exists() and done < len(dates):
         existing = partial.load()
@@ -208,24 +153,13 @@ def run_campaign(
             raise
         if stream is not None:
             stream.add_snapshot(snap)
-        if spill is not None:
+        if spill is None:
+            snapshots.append(snap)
+        else:
             # Durable the moment append returns; the sidecar's bins
             # are covered by the spilled snapshot, so clear it.
             spill.append(snap)
-            if partial is not None:
-                partial.clear()
-        if retain_snapshots:
-            snapshots.append(snap)
-        if checkpoint_path is not None:
-            # Atomic save: a crash mid-checkpoint must leave the
-            # previous complete checkpoint, never a torn file.
-            CampaignResult(
-                topic_keys=topic_keys,
-                snapshots=snapshots,
-            ).save(checkpoint_path, atomic=True)
-            observer.on_checkpoint("save", str(checkpoint_path), len(snapshots))
-            if partial is not None:
-                partial.clear()
+            partial.clear()
         done = index + 1
         if progress is not None:
             progress(done, len(dates))

@@ -157,7 +157,8 @@ class SnapshotCollector:
             raise ValueError(
                 f"partial checkpoint {self._partial.path} is for snapshot "
                 f"{existing.index} but snapshot {index} is being collected — "
-                f"the campaign checkpoint and its partial sidecar disagree"
+                f"the campaign's spilled snapshots and its partial sidecar "
+                f"disagree"
             )
         return existing
 

@@ -171,17 +171,10 @@ class CampaignResult:
 
     # -- persistence ---------------------------------------------------------
 
-    def save(self, path: str | Path, atomic: bool = False) -> int:
-        """Write the campaign as JSONL (one record per topic-snapshot).
-
-        ``atomic=True`` routes the write through a same-directory temp
-        file + :func:`os.replace`, so a crash mid-save leaves the previous
-        checkpoint intact instead of a torn file; the bytes written are
-        identical either way.
-        """
+    def save(self, path: str | Path) -> int:
+        """Write the campaign as JSONL (one record per topic-snapshot)."""
         return write_jsonl(
-            path, campaign_records(self.topic_keys, self.snapshots),
-            atomic=atomic,
+            path, campaign_records(self.topic_keys, self.snapshots)
         )
 
     @classmethod

@@ -175,6 +175,11 @@ class SpillStore:
         """Start an empty store (the directory may exist but must not
         already hold a manifest)."""
         directory = Path(directory)
+        if directory.exists() and not directory.is_dir():
+            raise ValueError(
+                f"{directory} is a file, not a spill directory; a campaign "
+                "JSONL file is read by CampaignResult.load()"
+            )
         if (directory / _MANIFEST).exists():
             raise ValueError(
                 f"spill directory {directory} already holds a campaign; "
@@ -206,7 +211,10 @@ class SpillStore:
             raise ValueError(
                 f"{directory} is not a spill directory (no {_MANIFEST})"
             )
-        manifest = load_json(manifest_path)
+        try:
+            manifest = load_json(manifest_path)
+        except ValueError as exc:
+            raise ValueError(f"{manifest_path}: corrupt manifest: {exc}") from exc
         fmt = manifest.get("format")
         if fmt != SPILL_FORMAT:
             raise ValueError(
@@ -405,16 +413,14 @@ class SpillStore:
 
     # -- export --------------------------------------------------------------
 
-    def export_jsonl(self, path: str | Path, atomic: bool = False) -> int:
+    def export_jsonl(self, path: str | Path) -> int:
         """Stream the campaign out in the legacy JSONL format.
 
         Byte-identical to :meth:`CampaignResult.save` on the same
         snapshots, without ever materializing the whole campaign.
         """
         return write_jsonl(
-            path,
-            campaign_records(self.topic_keys, self.iter_snapshots()),
-            atomic=atomic,
+            path, campaign_records(self.topic_keys, self.iter_snapshots())
         )
 
     def sha256(self) -> str:

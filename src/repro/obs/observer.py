@@ -112,7 +112,9 @@ class Observer:
         """A snapshot finished; ``units``/``calls`` are its deltas."""
 
     def on_checkpoint(self, action: str, path: str, snapshots: int) -> None:
-        """A campaign checkpoint was saved or resumed (``action`` in save/resume)."""
+        """A campaign resumed from durable state: ``action`` is
+        ``resume-spill`` (its spill store) or ``resume-partial`` (a
+        mid-snapshot sidecar); ``snapshots`` were already collected."""
 
     # -- analysis layer --------------------------------------------------------
 

@@ -212,8 +212,7 @@ def _render_totals(s: ObsSummary) -> str:
         ["search pages fetched", s.search_pages],
         ["max page depth", s.max_page_depth],
         ["snapshots completed", len(s.snapshots)],
-        ["checkpoint saves", s.checkpoints.get("save", 0)],
-        ["checkpoint resumes", s.checkpoints.get("resume", 0)],
+        ["spill store resumes", s.checkpoints.get("resume-spill", 0)],
         ["quota days touched", len(s.days_used)],
         ["wall time (s)", round(s.total_wall_s, 3)],
     ]

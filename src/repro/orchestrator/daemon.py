@@ -32,15 +32,14 @@ How the pieces compose:
   what makes the quota ledger reconcile exactly across a crash.  A batched
   topic sweep's bins go out as one group write with one fsync; a kill
   inside it journals a prefix of the bins, each with its own spend.
-* Campaign results are persisted with atomic checkpoint writes, so the
-  result file is always a complete prefix of the campaign — the
-  byte-identity surface the chaos proofs hash.  With
-  ``spill_results=True`` each campaign instead spills into a per-campaign
-  :class:`~repro.core.spill.SpillStore` directory (atomic manifest, same
-  complete-prefix guarantee) and the worker drops raw snapshots as they
-  land, so daemon memory stays bounded by one snapshot per campaign; the
-  digest surface is then the store's canonical serialization, which is
-  byte-identical to what the checkpoint file would have held.
+* Each campaign's result is a :class:`~repro.core.spill.SpillStore`
+  directory, ``campaigns/<id>.spill/``: every snapshot is appended under
+  an atomic manifest, so the store always holds a complete prefix of the
+  campaign, and the worker never keeps a raw snapshot after spilling it,
+  so daemon memory stays bounded by one snapshot per campaign.  The
+  digest surface the crash proofs hash is the store's canonical
+  serialization — byte-identical to what ``CampaignResult.save`` writes
+  for the same campaign run in memory.
 * Daemon-level failure policy: per-campaign
   :class:`~repro.resilience.policy.RetryPolicy` with a shared retry
   budget size, one shared per-endpoint
@@ -53,7 +52,6 @@ How the pieces compose:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import queue
 import threading
 import time
@@ -203,8 +201,15 @@ class OrchestratorDaemon:
         per_tenant_active: int = 2,
         retry_budget: int | None = 32,
         compact_every: int = 512,
-        spill_results: bool = False,
+        spill_results: bool = True,
     ) -> None:
+        # Every campaign spills; the keyword stays only for callers that
+        # still pass ``spill_results=True``.
+        if not spill_results:
+            raise ValueError(
+                "spill_results=False asked for checkpoint mode, which was "
+                "removed: every campaign spills to campaigns/<id>.spill/"
+            )
         self.gateway = gateway
         self.observer = gateway.observer or NullObserver()
         self.workdir = Path(workdir)
@@ -219,7 +224,6 @@ class OrchestratorDaemon:
         self.max_running = max_running
         self.retry_budget = retry_budget
         self.compact_every = compact_every
-        self.spill_results = spill_results
         #: Shared per-endpoint breaker: the daemon's backend-health policy.
         self.breaker = gateway.breaker
         #: Test hook: campaign_id -> FaultPlan to install on that campaign's
@@ -247,8 +251,8 @@ class OrchestratorDaemon:
         """Fold the journal; re-admit interrupted campaigns; fail revoked ones.
 
         Anything found ``running`` or ``admitted`` was killed mid-flight:
-        it is re-admitted (its journaled bins and atomic checkpoint make
-        the re-run re-issue only what is missing) unless its key has been
+        it is re-admitted (its journaled bins and spill store make the
+        re-run re-issue only what is missing) unless its key has been
         revoked in the meantime, in which case it fails permanently —
         campaigns never outlive their credentials.
         """
@@ -513,28 +517,19 @@ class OrchestratorDaemon:
             return self.state.usage_for_key(key_id)
 
     def campaign_path(self, campaign_id: str) -> Path:
-        """Where a campaign's result lives: a checkpoint file, or in
-        ``spill_results`` mode the campaign's spill-store directory."""
-        if self.spill_results:
-            return self.campaigns_dir / f"{campaign_id}.spill"
-        return self.campaigns_dir / f"{campaign_id}.jsonl"
+        """Where a campaign's result lives: its spill-store directory."""
+        return self.campaigns_dir / f"{campaign_id}.spill"
 
     def result_sha256(self, campaign_id: str) -> str | None:
-        """The result's digest (the byte-identity proof surface).
-
-        Checkpoint mode hashes the result file; spill mode hashes the
-        store's canonical record stream — the same bytes ``export_jsonl``
-        (and a plain checkpoint) would write, so the two modes' digests
-        agree for the same campaign.
-        """
+        """The result's digest (the byte-identity proof surface): the
+        store's canonical record stream, the same bytes ``export_jsonl``
+        writes, or ``None`` before the campaign has started."""
         path = self.campaign_path(campaign_id)
         if not path.exists():
             return None
-        if path.is_dir():
-            from repro.core.spill import SpillStore
+        from repro.core.spill import SpillStore
 
-            return SpillStore.open(path).sha256()
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+        return SpillStore.open(path).sha256()
 
     # -- internals -------------------------------------------------------------
 
@@ -729,21 +724,11 @@ class OrchestratorDaemon:
             if pause_event.is_set() or self._draining:
                 raise _PauseSignal("drain" if self._draining else "paused")
 
-        if self.spill_results:
-            # The spill directory is the durable result; the journal store
-            # still carries bin-level progress and billing, and dropping
-            # raw snapshots keeps memory at one snapshot per campaign.
-            run_campaign(
-                config, client,
-                progress=boundary,
-                spill=self.campaign_path(cid),
-                retain_snapshots=False,
-                partial=store,
-            )
-        else:
-            run_campaign(
-                config, client,
-                progress=boundary,
-                checkpoint_path=self.campaign_path(cid),
-                partial=store,
-            )
+        # The spill directory is the durable result; the journal store
+        # carries bin-level progress and billing.
+        run_campaign(
+            config, client,
+            progress=boundary,
+            spill=self.campaign_path(cid),
+            partial=store,
+        )

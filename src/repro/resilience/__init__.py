@@ -15,7 +15,8 @@ Modules:
 * :mod:`~repro.resilience.breaker` — per-endpoint circuit breaker wired
   into the observability layer;
 * :mod:`~repro.resilience.checkpoint` — query-level (hour-bin) snapshot
-  checkpointing via an append-only sidecar file;
+  checkpointing via an append-only sidecar file inside the campaign's
+  spill directory;
 * :mod:`~repro.resilience.faults` — scripted fault plans and the named
   chaos scenarios;
 * :mod:`~repro.resilience.chaos` — the harness that runs a scenario and

@@ -13,26 +13,31 @@ layer's headline invariants:
   events.  Failed attempts are never billed (the simulator's fault gate
   fires before its quota charge), so retries cannot inflate the bill;
 * **byte-identical results** — for scenarios the retry layer should fully
-  absorb, the faulted campaign's persisted JSONL equals the clean run's
-  byte for byte, *and* it completed the same number of API calls: retries,
-  pagination restarts, and mid-snapshot resumes are invisible to the data;
+  absorb, the faulted campaign's spill store serializes to the clean
+  run's saved JSONL byte for byte, *and* it completed the same number of
+  API calls: retries, pagination restarts, and mid-snapshot resumes are
+  invisible to the data;
 * **interruption & resume** — the quota-cliff scenario aborts mid-snapshot
-  (a scheduling event), then a second ``run_campaign`` resumes from the
-  ``.partial`` sidecar, re-issues only the missing hour bins, and still
-  matches the clean bytes;
+  (a scheduling event), then a second ``run_campaign`` over the same
+  spill directory resumes from its ``partial.jsonl`` sidecar, re-issues
+  only the missing hour bins, and still matches the clean bytes;
 * **graceful degradation** — the hard-outage scenario must trip the
-  circuit breaker, mark the skipped hour bins on the snapshot, and finish
-  anyway.
+  circuit breaker, mark the skipped hour bins on the spilled snapshots,
+  and finish anyway.
 
-The mini-campaign uses the smallest paper topic with a 1-day window (48
-hour bins per snapshot) and no metadata sweep, so a scenario runs in well
-under a second while still exercising pagination, checkpointing, and the
-full observer stack.
+The faulted campaign always runs over a spill directory, the campaign's
+one durable store, so the crash scenarios resume exactly as a restarted
+``repro campaign --spill`` would.  The mini-campaign uses the smallest
+paper topic with a 1-day window (48 hour bins per snapshot) and no
+metadata sweep, so a scenario runs in well under a second while still
+exercising pagination, the spill store with its sidecar, and the full
+observer stack.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,8 +136,10 @@ def run_scenario(
 ) -> ChaosReport:
     """Run one scenario end to end and assert its invariants.
 
-    ``workdir`` receives the clean result, the faulted checkpoint, and its
-    transient ``.partial`` sidecar; pass a temp directory from the CLI.
+    ``workdir`` receives the clean result (``clean.jsonl``) and the
+    faulted campaign's spill directory (``faulted.spill/``, with its
+    transient ``partial.jsonl`` sidecar); pass a temp directory from the
+    CLI.
     """
     if isinstance(scenario, str):
         try:
@@ -144,6 +151,7 @@ def run_scenario(
             ) from None
     from repro.api.client import YouTubeClient
     from repro.core.campaign import run_campaign
+    from repro.core.spill import SpillStore
 
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -178,29 +186,29 @@ def run_scenario(
     client = YouTubeClient(
         service, observer=observer, retry_policy=policy, circuit_breaker=breaker
     )
-    checkpoint = workdir / "faulted.jsonl"
+    spill = workdir / "faulted.spill"
     interrupted = False
     crashed = False
     pre_crash_units = 0
     pre_crash_calls = 0
     try:
-        faulted_result = run_campaign(
-            config, client, checkpoint_path=checkpoint,
+        run_campaign(
+            config, client, spill=spill,
             tolerate_failures=scenario.tolerate_failures,
         )
     except QuotaExceededError:
         interrupted = True
         # The scheduling event: the operator waits for a new quota day,
-        # then reruns the identical command; the checkpoint + partial
-        # sidecar make the rerun re-issue only what is missing.
-        faulted_result = run_campaign(
-            config, client, checkpoint_path=checkpoint,
+        # then reruns the identical command; the spill store and its
+        # partial sidecar make the rerun re-issue only what is missing.
+        run_campaign(
+            config, client, spill=spill,
             tolerate_failures=scenario.tolerate_failures,
         )
     except SimulatedCrashError:
         # The process "died": everything in memory — ledger, fault plan,
-        # transport counters — is gone; only the checkpoint and its
-        # .partial sidecar survive.  Simulate the restart with a fresh
+        # transport counters — is gone; only the spill directory and its
+        # partial sidecar survive.  Simulate the restart with a fresh
         # service and client over the same world (the observer persists,
         # like a trace file spanning both processes), and resume.
         crashed = True
@@ -211,10 +219,11 @@ def run_scenario(
             service, observer=observer, retry_policy=policy,
             circuit_breaker=breaker,
         )
-        faulted_result = run_campaign(
-            config, client, checkpoint_path=checkpoint,
+        run_campaign(
+            config, client, spill=spill,
             tolerate_failures=scenario.tolerate_failures,
         )
+    store = SpillStore.open(spill)
 
     if trace_path is not None:
         observer.export_trace(trace_path)
@@ -246,14 +255,16 @@ def run_scenario(
         ),
     ]
     if scenario.expect_identical:
-        identical = checkpoint.read_bytes() == clean_path.read_bytes()
+        identical = store.sha256() == hashlib.sha256(
+            clean_path.read_bytes()
+        ).hexdigest()
         checks.append(
             ChaosCheck(
                 "byte-identical-result",
                 identical,
-                "faulted checkpoint equals clean save"
+                "faulted spill store equals clean save"
                 if identical
-                else "faulted checkpoint DIFFERS from clean save",
+                else "faulted spill store DIFFERS from clean save",
             )
         )
         checks.append(
@@ -273,25 +284,25 @@ def run_scenario(
             )
         )
     if scenario.expect_crash:
-        resumes = summary.checkpoints.get("resume", 0) + summary.checkpoints.get(
-            "resume-partial", 0
+        resumes = sum(
+            summary.checkpoints.get(action, 0)
+            for action in ("resume-spill", "resume-partial")
         )
         checks.append(
             ChaosCheck(
                 "crashed-then-resumed",
                 crashed and resumes > 0,
-                f"crashed={crashed}, checkpoint resumes={resumes}",
+                f"crashed={crashed}, store resumes={resumes}",
             )
         )
     if scenario.tolerate_failures:
         degraded_snaps = [
-            snap.index for snap in faulted_result.snapshots if snap.degraded
+            snap.index for snap in store.iter_snapshots() if snap.degraded
         ]
         checks.append(
             ChaosCheck(
                 "degraded-not-dead",
-                bool(degraded_snaps)
-                and faulted_result.n_collections == collections,
+                bool(degraded_snaps) and store.n_snapshots == collections,
                 f"campaign completed with degraded snapshots {degraded_snaps}",
             )
         )

@@ -1,14 +1,14 @@
 """Query-level checkpointing: survive dying *inside* a snapshot.
 
-The campaign runner has always checkpointed whole snapshots, but one
-snapshot is 4,032 hour-bin queries — 403,200 quota units in the paper's
-design.  Dying at query 4,000 and re-issuing all 4,032 on resume wastes a
-day of quota and (worse) smears the snapshot across quota days, which the
-paper's methodology explicitly avoids.
+A campaign's spill store (:class:`~repro.core.spill.SpillStore`) persists
+whole snapshots, but one snapshot is 4,032 hour-bin queries — 403,200
+quota units in the paper's design.  Dying at query 4,000 and re-issuing
+all 4,032 on resume wastes a day of quota and (worse) smears the snapshot
+across quota days, which the paper's methodology explicitly avoids.
 
-A :class:`PartialSnapshotStore` is an append-only JSONL sidecar next to
-the campaign checkpoint (``<checkpoint>.partial``): a header naming the
-snapshot being collected, then one record per *completed* hour-bin query.
+A :class:`PartialSnapshotStore` is an append-only JSONL sidecar inside
+the spill directory (``partial.jsonl``): a header naming the snapshot
+being collected, then one record per *completed* hour-bin query.
 Each append is one flushed write, so the file is exactly as complete as
 the collection was when the process died.  Flushing hands the bytes to
 the OS without an fsync: the sidecar survives a process kill, not an OS

@@ -53,8 +53,8 @@ class SimulatedCrashError(Exception):
     policy classifies only API errors, so a simulated crash propagates
     straight through client, collector, and campaign exactly as an
     uncaught fatal would — nothing downstream handles it, nothing is
-    retried, and whatever was journaled or checkpointed at that instant
-    is what a restart finds.  Both ``repro chaos`` (the ``boundary-crash``
+    retried, and whatever was journaled or spilled at that instant is
+    what a restart finds.  Both ``repro chaos`` (the ``boundary-crash``
     scenario) and the orchestrator kill-resume tests use it to place a
     deterministic, in-process stand-in for ``kill -9`` at an exact attempt
     tick; ``tools/orchestrator_smoke.py`` complements it with the real
@@ -80,7 +80,7 @@ def crash_at_snapshot(queries_per_snapshot: int, snapshot_index: int) -> FaultSp
 
     Tick ``queries_per_snapshot * snapshot_index`` is the *first* search
     attempt of that snapshot — i.e. the process dies right at the boundary,
-    after snapshot ``snapshot_index - 1`` was checkpointed and its partial
+    after snapshot ``snapshot_index - 1`` was spilled and its partial
     sidecar cleared.  Exact when every hour bin resolves in one page and
     the campaign skips the metadata sweep (the chaos mini-config and the
     orchestrator's config both do); with multi-page bins the crash still
@@ -183,7 +183,7 @@ class ChaosScenario:
     expect_interruption: bool = False
     #: The scenario kills the process (``processCrash``): the harness
     #: simulates a restart — fresh service, client, and fault plan — and
-    #: resumes from the checkpoint + partial sidecar on disk.
+    #: resumes from the spill store + partial sidecar on disk.
     expect_crash: bool = False
 
     def plan(self) -> FaultPlan:
@@ -230,8 +230,9 @@ def _scenarios() -> dict[str, ChaosScenario]:
     )
     quota_cliff = ChaosScenario(
         name="quota-cliff",
-        description="quota exhausted mid-snapshot; the campaign checkpoints "
-        "completed hour bins, stops, and resumes without re-querying them",
+        description="quota exhausted mid-snapshot; the spill store's "
+        "partial sidecar keeps the completed hour bins, the campaign stops, "
+        "and resumes without re-querying them",
         specs=(
             FaultSpec(start=25, count=1, error="quotaExceeded"),
         ),
@@ -255,16 +256,17 @@ def _scenarios() -> dict[str, ChaosScenario]:
     boundary_crash = ChaosScenario(
         name="boundary-crash",
         description="the process dies at the snapshot 0/1 boundary (first "
-        "attempt after snapshot 0 checkpointed); the restart resumes from "
-        "the campaign checkpoint and stays byte-identical",
+        "attempt after snapshot 0 spilled); the restart resumes from the "
+        "spill store and stays byte-identical",
         specs=(crash_at_snapshot(48, 1),),
         expect_crash=True,
     )
     midsnapshot_crash = ChaosScenario(
         name="midsnapshot-crash",
         description="the process dies 22 bins into snapshot 1; the restart "
-        "replays the journaled bins from the .partial sidecar, re-issues "
-        "only the missing ones, and stays byte-identical",
+        "replays the recorded bins from the spill store's partial.jsonl "
+        "sidecar, re-issues only the missing ones, and stays "
+        "byte-identical",
         specs=(FaultSpec(start=70, count=1, error="processCrash"),),
         expect_crash=True,
     )

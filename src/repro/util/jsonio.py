@@ -3,13 +3,13 @@
 Snapshots can be large (tens of thousands of video IDs with metadata), so we
 stream one JSON object per line rather than building a single document.
 
-Crash safety: :func:`atomic_write_text` (and ``write_jsonl(...,
-atomic=True)`` / :func:`dump_json` with ``atomic=True``) write through a
-same-directory temp file, fsync it, and :func:`os.replace` it over the
-target, so a process killed mid-save can never leave a torn or empty
-file — the reader sees either the old complete document or the new one.
-The orchestrator's journal compaction, campaign checkpoints, and the
-serve layer's key table all persist through this path.
+Crash safety: :func:`atomic_write_text` (and :func:`dump_json` with
+``atomic=True``) write through a same-directory temp file, fsync it, and
+:func:`os.replace` it over the target, so a process killed mid-save can
+never leave a torn or empty file — the reader sees either the old
+complete document or the new one.  The orchestrator's journal
+compaction, the spill store's manifest, and the serve layer's key table
+all persist through this path.
 
 Append-only logs (the orchestrator's journal, the partial-snapshot
 sidecar) are read back with :func:`read_log`, which drops the line a kill
@@ -98,19 +98,10 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def write_jsonl(path: str | Path, records: Iterable[Any], atomic: bool = False) -> int:
-    """Write records as JSON lines; returns the number of records written.
-
-    With ``atomic=True`` (plain, non-gzip paths) the file is written via
-    :func:`atomic_write_text`, so a crash mid-save leaves the previous
-    version intact instead of a torn checkpoint.
-    """
+def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
+    """Write records as JSON lines; returns the number of records written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if atomic and path.suffix != ".gz":
-        lines = [encode_record(record) for record in records]
-        atomic_write_text(path, "".join(line + "\n" for line in lines))
-        return len(lines)
     count = 0
     with _open(path, "w") as fh:
         for record in records:

@@ -225,12 +225,3 @@ class TestSpillCommands:
         )
         assert code == 0
         assert "campaign: 3 collections spilled" in capsys.readouterr().out
-
-    def test_campaign_spill_checkpoint_conflict(self, tmp_path, capsys):
-        code = main(
-            ["campaign", "--scale", "0.05", "--collections", "2",
-             "--spill", str(tmp_path / "d"),
-             "--checkpoint", str(tmp_path / "ck.jsonl")]
-        )
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err

@@ -162,6 +162,9 @@ class TestQuotaAccounting:
 
 
 class TestCheckpointing:
+    """A spill directory is the campaign's one durable store: a rerun over
+    it resumes, and a store that does not fit the run is refused."""
+
     def _config(self, small_specs, n):
         cfg = paper_campaign_config(topics=small_specs, with_comments=False)
         return dataclasses.replace(
@@ -169,168 +172,155 @@ class TestCheckpointing:
             comment_snapshot_indices=(), collect_metadata=False,
         )
 
-    def test_resume_skips_collected_snapshots(self, small_world, small_specs, tmp_path):
+    def _client(self, small_world, small_specs, observer=None):
         from repro.api import QuotaPolicy, YouTubeClient, build_service
-        from repro.core.campaign import run_campaign
 
-        checkpoint = tmp_path / "check.jsonl"
+        service = build_service(
+            small_world, seed=20250209, specs=small_specs,
+            quota_policy=QuotaPolicy(researcher_program=True),
+            observer=observer,
+        )
+        return YouTubeClient(service)
+
+    def test_resume_skips_collected_snapshots(self, small_world, small_specs, tmp_path):
+        from repro.core.campaign import run_campaign
+        from repro.core.spill import SpillStore
+
+        spill = tmp_path / "camp.spill"
 
         # First run: 2 of 4 collections, then "crash".
-        service1 = build_service(
-            small_world, seed=20250209, specs=small_specs,
-            quota_policy=QuotaPolicy(researcher_program=True),
-        )
         partial = run_campaign(
-            self._config(small_specs, 2), YouTubeClient(service1),
-            checkpoint_path=checkpoint,
+            self._config(small_specs, 2),
+            self._client(small_world, small_specs), spill=spill,
         )
-        assert checkpoint.exists()
-        assert partial.n_collections == 2
+        assert partial.snapshots == []  # a spilled run keeps none in memory
+        assert SpillStore.open(spill).n_snapshots == 2
 
-        # Second run with the full schedule resumes from the checkpoint.
-        service2 = build_service(
-            small_world, seed=20250209, specs=small_specs,
-            quota_policy=QuotaPolicy(researcher_program=True),
-        )
-        calls_before = service2.transport.total_calls
-        full = run_campaign(
-            self._config(small_specs, 4), YouTubeClient(service2),
-            checkpoint_path=checkpoint,
-        )
-        assert full.n_collections == 4
+        # Second run with the full schedule resumes from the store.
+        client = self._client(small_world, small_specs)
+        calls_before = client.service.transport.total_calls
+        run_campaign(self._config(small_specs, 4), client, spill=spill)
+        store = SpillStore.open(spill)
+        assert store.n_snapshots == 4
         # Only 2 new snapshots' worth of searches were issued.
-        new_calls = service2.transport.total_calls - calls_before
+        new_calls = client.service.transport.total_calls - calls_before
         expected = 2 * sum(spec.window_hours for spec in small_specs)
         assert new_calls == expected
         # Resumed snapshots equal what a clean run would have produced
         # (determinism in the request date).
-        service3 = build_service(
-            small_world, seed=20250209, specs=small_specs,
-            quota_policy=QuotaPolicy(researcher_program=True),
+        clean = run_campaign(
+            self._config(small_specs, 4), self._client(small_world, small_specs)
         )
-        clean = run_campaign(self._config(small_specs, 4), YouTubeClient(service3))
-        for i in range(4):
-            for topic in full.topic_keys:
-                assert full.snapshots[i].video_ids(topic) == clean.snapshots[
-                    i
-                ].video_ids(topic)
+        assert store.load().snapshots == clean.snapshots
 
     def test_mismatched_checkpoint_rejected(self, small_world, small_specs, tmp_path):
-        from repro.api import QuotaPolicy, YouTubeClient, build_service
         from repro.core.campaign import run_campaign
 
-        checkpoint = tmp_path / "check.jsonl"
-        service = build_service(
-            small_world, seed=20250209, specs=small_specs,
-            quota_policy=QuotaPolicy(researcher_program=True),
-        )
+        spill = tmp_path / "camp.spill"
         run_campaign(
-            self._config(small_specs, 2), YouTubeClient(service),
-            checkpoint_path=checkpoint,
+            self._config(small_specs, 2),
+            self._client(small_world, small_specs), spill=spill,
         )
         # Resuming under a different schedule (shifted start) must fail.
         shifted = dataclasses.replace(
             self._config(small_specs, 4),
             start_date=datetime(2025, 3, 1, tzinfo=UTC),
         )
-        service2 = build_service(
-            small_world, seed=20250209, specs=small_specs,
-            quota_policy=QuotaPolicy(researcher_program=True),
-        )
         with pytest.raises(ValueError, match="schedule"):
-            run_campaign(shifted, YouTubeClient(service2), checkpoint_path=checkpoint)
+            run_campaign(
+                shifted, self._client(small_world, small_specs), spill=spill
+            )
 
     def test_corrupt_checkpoint_rejected_with_clear_message(
         self, small_world, small_specs, tmp_path
     ):
-        from repro.api import QuotaPolicy, YouTubeClient, build_service
         from repro.core.campaign import run_campaign
 
-        checkpoint = tmp_path / "check.jsonl"
-        checkpoint.write_text('{"kind": "header", "topic_keys": []}\nnot json at all\n')
-        service = build_service(
-            small_world, seed=20250209, specs=small_specs,
-            quota_policy=QuotaPolicy(researcher_program=True),
-        )
-        with pytest.raises(ValueError, match="corrupt"):
+        spill = tmp_path / "camp.spill"
+        spill.mkdir()
+        (spill / "manifest.json").write_text("not json at all\n")
+        with pytest.raises(ValueError, match="corrupt manifest"):
             run_campaign(
-                self._config(small_specs, 2), YouTubeClient(service),
-                checkpoint_path=checkpoint,
+                self._config(small_specs, 2),
+                self._client(small_world, small_specs), spill=spill,
+            )
+        # A spilled data file cut short is refused too, not re-collected.
+        spill = tmp_path / "torn.spill"
+        run_campaign(
+            self._config(small_specs, 1),
+            self._client(small_world, small_specs), spill=spill,
+        )
+        data = spill / "snap-00000.jsonl"
+        data.write_bytes(data.read_bytes()[:-10])
+        with pytest.raises(ValueError, match="corrupt store"):
+            run_campaign(
+                self._config(small_specs, 2),
+                self._client(small_world, small_specs), spill=spill,
             )
 
     def test_wrong_shape_checkpoint_rejected(self, small_world, small_specs, tmp_path):
-        """Valid JSONL that is not a campaign file also raises clearly."""
-        from repro.api import QuotaPolicy, YouTubeClient, build_service
+        """Valid JSON that is not a spill manifest, and a campaign JSONL
+        file where the store should be, also raise clearly."""
         from repro.core.campaign import run_campaign
 
-        checkpoint = tmp_path / "check.jsonl"
-        checkpoint.write_text('{"seq": 0, "type": "api.call"}\n')
-        service = build_service(
-            small_world, seed=20250209, specs=small_specs,
-            quota_policy=QuotaPolicy(researcher_program=True),
-        )
-        with pytest.raises(ValueError, match="corrupt|campaign"):
+        spill = tmp_path / "camp.spill"
+        spill.mkdir()
+        (spill / "manifest.json").write_text('{"seq": 0, "type": "api.call"}')
+        with pytest.raises(ValueError, match="unsupported spill format"):
             run_campaign(
-                self._config(small_specs, 2), YouTubeClient(service),
-                checkpoint_path=checkpoint,
+                self._config(small_specs, 2),
+                self._client(small_world, small_specs), spill=spill,
+            )
+        saved = tmp_path / "camp.jsonl"
+        run_campaign(
+            self._config(small_specs, 1), self._client(small_world, small_specs)
+        ).save(saved)
+        with pytest.raises(ValueError, match="not a spill directory"):
+            run_campaign(
+                self._config(small_specs, 2),
+                self._client(small_world, small_specs), spill=saved,
             )
 
     def test_checkpoint_beyond_schedule_rejected(
         self, small_world, small_specs, tmp_path
     ):
-        from repro.api import QuotaPolicy, YouTubeClient, build_service
         from repro.core.campaign import run_campaign
 
-        checkpoint = tmp_path / "check.jsonl"
-        service = build_service(
-            small_world, seed=20250209, specs=small_specs,
-            quota_policy=QuotaPolicy(researcher_program=True),
-        )
+        spill = tmp_path / "camp.spill"
         run_campaign(
-            self._config(small_specs, 3), YouTubeClient(service),
-            checkpoint_path=checkpoint,
+            self._config(small_specs, 3),
+            self._client(small_world, small_specs), spill=spill,
         )
         # Resuming under a *shorter* schedule must refuse the extra snapshot.
-        service2 = build_service(
-            small_world, seed=20250209, specs=small_specs,
-            quota_policy=QuotaPolicy(researcher_program=True),
-        )
         with pytest.raises(ValueError, match="beyond"):
             run_campaign(
-                self._config(small_specs, 2), YouTubeClient(service2),
-                checkpoint_path=checkpoint,
+                self._config(small_specs, 2),
+                self._client(small_world, small_specs), spill=spill,
             )
 
     def test_resume_emits_checkpoint_events(self, small_world, small_specs, tmp_path):
-        from repro.api import QuotaPolicy, YouTubeClient, build_service
         from repro.core.campaign import run_campaign
         from repro.obs import CampaignObserver
 
-        checkpoint = tmp_path / "check.jsonl"
+        spill = tmp_path / "camp.spill"
         obs1 = CampaignObserver()
-        service1 = build_service(
-            small_world, seed=20250209, specs=small_specs,
-            quota_policy=QuotaPolicy(researcher_program=True), observer=obs1,
-        )
         run_campaign(
-            self._config(small_specs, 2), YouTubeClient(service1),
-            checkpoint_path=checkpoint,
+            self._config(small_specs, 2),
+            self._client(small_world, small_specs, observer=obs1), spill=spill,
         )
-        saves = obs1.tracer.of_type("campaign.checkpoint")
-        assert [e.fields["action"] for e in saves] == ["save", "save"]
-        assert [e.fields["snapshots"] for e in saves] == [1, 2]
+        # A fresh store is not a resume; each snapshot is a spill write.
+        assert obs1.tracer.of_type("campaign.checkpoint") == []
+        writes = obs1.tracer.of_type("spill.write")
+        assert [e.fields["index"] for e in writes] == [0, 1]
 
         obs2 = CampaignObserver()
-        service2 = build_service(
-            small_world, seed=20250209, specs=small_specs,
-            quota_policy=QuotaPolicy(researcher_program=True), observer=obs2,
-        )
         run_campaign(
-            self._config(small_specs, 4), YouTubeClient(service2),
-            checkpoint_path=checkpoint,
+            self._config(small_specs, 4),
+            self._client(small_world, small_specs, observer=obs2), spill=spill,
         )
         events = obs2.tracer.of_type("campaign.checkpoint")
-        assert [e.fields["action"] for e in events] == ["resume", "save", "save"]
+        assert [e.fields["action"] for e in events] == ["resume-spill"]
         assert events[0].fields["snapshots"] == 2
-        assert events[0].fields["path"] == str(checkpoint)
-        assert [e.fields["snapshots"] for e in events[1:]] == [3, 4]
+        assert events[0].fields["path"] == str(spill)
+        writes = obs2.tracer.of_type("spill.write")
+        assert [e.fields["index"] for e in writes] == [2, 3]

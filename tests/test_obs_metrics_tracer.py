@@ -161,7 +161,7 @@ class TestObserverProtocol:
         obs.on_topic_end("higgs", at, 100, 10)
         obs.on_snapshot_start(0, at)
         obs.on_snapshot_end(0, at, 100, 1)
-        obs.on_checkpoint("save", "x.jsonl", 1)
+        obs.on_checkpoint("resume-spill", "x.spill", 1)
 
     def test_null_observer_is_the_base_class(self):
         assert NullObserver is Observer
@@ -207,8 +207,8 @@ class TestReport:
             {"seq": 7, "type": "topic.end", "topic": "higgs", "units": 100, "videos": 9},
             {"seq": 8, "type": "snapshot.end", "index": 0, "units": 100,
              "calls": 1, "wall_s": 0.25},
-            {"seq": 9, "type": "campaign.checkpoint", "action": "save",
-             "path": "c.jsonl", "snapshots": 1},
+            {"seq": 9, "type": "campaign.checkpoint", "action": "resume-spill",
+             "path": "c.spill", "snapshots": 1},
         ]
 
     def test_summarize(self):
@@ -219,7 +219,7 @@ class TestReport:
         assert s.total_errors == 1
         assert s.topic_units == {"higgs": 100}
         assert s.search_queries == 1 and s.max_page_depth == 2
-        assert s.checkpoints == {"save": 1}
+        assert s.checkpoints == {"resume-spill": 1}
         assert len(s.snapshots) == 1 and s.snapshots[0].wall_s == 0.25
         assert s.days_used == {"2025-02-09": 100}
 
@@ -230,6 +230,7 @@ class TestReport:
         assert "Quota economy per topic" in text
         assert "Per-snapshot timings" in text
         assert "search.list" in text and "higgs" in text
+        assert "| spill store resumes      | 1     |" in text
 
     def test_render_accepts_summary(self):
         s = summarize_events(self._synthetic_events())

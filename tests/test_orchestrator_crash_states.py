@@ -52,9 +52,7 @@ def tiny_gateway():
 def uninterrupted(tiny_gateway, tmp_path_factory):
     """One 2-collection campaign, spilled, and its journal before the drain."""
     key = tiny_gateway.mint_key(daily_limit=10**7)
-    daemon = OrchestratorDaemon(
-        tiny_gateway, tmp_path_factory.mktemp("ref"), spill_results=True
-    )
+    daemon = OrchestratorDaemon(tiny_gateway, tmp_path_factory.mktemp("ref"))
     daemon.start()
     cid = daemon.submit(key.credential, collections=2)["campaignId"]
     assert daemon.wait_idle(timeout=120)
@@ -110,7 +108,7 @@ class TestKillInsideGroupWrite:
         workdir.mkdir()
         (workdir / "journal.jsonl").write_bytes(prefix)  # and no result
 
-        daemon = OrchestratorDaemon(tiny_gateway, workdir, spill_results=True)
+        daemon = OrchestratorDaemon(tiny_gateway, workdir)
         # Recovery cut the torn line before it journaled the re-admission,
         # so that record starts a line of its own.
         complete = b"".join(lines[: first + kept])

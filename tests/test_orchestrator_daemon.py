@@ -9,7 +9,7 @@ cycle several times per test module.
 The headline assertions mirror the chaos harness's invariants:
 
 * an uninterrupted campaign and a crashed-then-recovered campaign produce
-  **byte-identical** result files;
+  **byte-identical** results (each campaign's spill store, serialized);
 * the journal-derived tenant ledger reconciles **exactly** — every
   hour-bin query billed once, cancelled in-flight work refunded.
 """
@@ -66,6 +66,17 @@ def wait_for(predicate, timeout=30.0, poll_s=0.01):
             return True
         time.sleep(poll_s)
     return False
+
+
+def fresh_sha256(daemon, orch_world, orch_spec, tmp_path, **shape):
+    """The digest of the campaign run in memory on its own
+    ``build_service`` and saved, no daemon and no spill store."""
+    path = tmp_path / "fresh-{collections}x{interval_days}.jsonl".format(**shape)
+    service = build_service(orch_world, seed=SEED, specs=(orch_spec,))
+    run_campaign(
+        daemon._campaign_config(**shape), YouTubeClient(service)
+    ).save(path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture()
@@ -377,37 +388,46 @@ class TestCrashRecovery:
 
 
 class TestSpillResults:
-    """``spill_results=True``: per-campaign SpillStore instead of a
-    checkpoint file, same digest surface, same crash-safety."""
+    """Every campaign's result is its own SpillStore directory: the digest
+    surface is the store's canonical serialization, and it is crash-safe."""
 
     def test_spill_digest_matches_checkpoint_mode(
         self, orch_world, orch_spec, tmp_path
     ):
+        """The store digests to the bytes of the whole campaign saved in
+        one file, the form a campaign checkpoint took."""
         gateway = make_gateway(orch_world, orch_spec)
-        plain = OrchestratorDaemon(gateway, tmp_path / "plain")
+        spilling = OrchestratorDaemon(gateway, tmp_path / "spill")
         key = gateway.mint_key(daily_limit=10_000)
-        plain.start()
-        plain_cid = plain.submit(key.credential, collections=2)["campaignId"]
-        assert plain.wait_idle(timeout=60)
-        plain.drain()
-
-        spilling = OrchestratorDaemon(
-            gateway, tmp_path / "spill", spill_results=True
-        )
-        key2 = gateway.mint_key(daily_limit=10_000)
         spilling.start()
-        cid = spilling.submit(key2.credential, collections=2)["campaignId"]
+        cid = spilling.submit(key.credential, collections=2)["campaignId"]
         assert spilling.wait_idle(timeout=60)
-        status = spilling.status(key2.credential, cid)
+        status = spilling.status(key.credential, cid)
         assert status["state"] == COMPLETED
+        assert spilling.campaign_path(cid) == (
+            tmp_path / "spill" / "campaigns" / f"{cid}.spill"
+        )
         assert spilling.campaign_path(cid).is_dir()
-        # The store's canonical bytes == the checkpoint file's bytes.
-        assert spilling.result_sha256(cid) == plain.result_sha256(plain_cid)
-        assert spilling.usage_for_key(key2.key_id) == {
+        # The store's canonical bytes == an in-memory run's saved bytes.
+        assert spilling.result_sha256(cid) == fresh_sha256(
+            spilling, orch_world, orch_spec, tmp_path,
+            collections=2, interval_days=5,
+        )
+        assert spilling.usage_for_key(key.key_id) == {
             "2025-02-09": SNAPSHOT_UNITS,
             "2025-02-14": SNAPSHOT_UNITS,
         }
         spilling.drain()
+        gateway.close()
+
+    def test_spill_results_accepts_only_true(
+        self, orch_world, orch_spec, tmp_path
+    ):
+        gateway = make_gateway(orch_world, orch_spec)
+        daemon = OrchestratorDaemon(gateway, tmp_path / "a", spill_results=True)
+        assert daemon.result_sha256("c0001") is None
+        with pytest.raises(ValueError, match="checkpoint mode"):
+            OrchestratorDaemon(gateway, tmp_path / "b", spill_results=False)
         gateway.close()
 
     def test_spill_mode_crash_recovery_is_byte_identical(
@@ -415,15 +435,13 @@ class TestSpillResults:
     ):
         gateway = make_gateway(orch_world, orch_spec)
         key = gateway.mint_key(daily_limit=10_000)
-        ref = OrchestratorDaemon(gateway, tmp_path / "ref", spill_results=True)
+        ref = OrchestratorDaemon(gateway, tmp_path / "ref")
         ref.start()
         ref_cid = ref.submit(key.credential, collections=2)["campaignId"]
         assert ref.wait_idle(timeout=60)
         ref.drain()
 
-        crashed = OrchestratorDaemon(
-            gateway, tmp_path / "orch", spill_results=True
-        )
+        crashed = OrchestratorDaemon(gateway, tmp_path / "orch")
         crashed.fault_factory = lambda cid: FaultPlan(
             (FaultSpec(start=70, count=1, error="processCrash"),)
         )
@@ -433,9 +451,7 @@ class TestSpillResults:
         # Snapshot 0 already landed in the spill store before the crash.
         assert crashed.campaign_path(cid).is_dir()
 
-        recovered = OrchestratorDaemon(
-            gateway, tmp_path / "orch", spill_results=True
-        )
+        recovered = OrchestratorDaemon(gateway, tmp_path / "orch")
         recovered.start()
         assert recovered.wait_idle(timeout=60)
         assert recovered.state.campaigns[cid].state == COMPLETED
@@ -462,16 +478,6 @@ class TestSharedEngine:
 
         monkeypatch.setattr(ChurnProcess, name, spy)
 
-    def _fresh_sha256(self, daemon, orch_world, orch_spec, tmp_path, **shape):
-        """The campaign's digest from its own ``build_service``, no daemon."""
-        path = tmp_path / "fresh-{collections}x{interval_days}.jsonl".format(**shape)
-        service = build_service(orch_world, seed=SEED, specs=(orch_spec,))
-        run_campaign(
-            daemon._campaign_config(**shape), YouTubeClient(service),
-            checkpoint_path=path,
-        )
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-
     def test_same_config_runs_churn_once_per_topic_and_date(
         self, stack, orch_world, orch_spec, tmp_path, monkeypatch
     ):
@@ -493,7 +499,7 @@ class TestSharedEngine:
             (orch_spec.key, "2025-02-09"), (orch_spec.key, "2025-02-14"),
         ]
         digests = {daemon.result_sha256(cid) for cid in cids}
-        assert digests == {self._fresh_sha256(
+        assert digests == {fresh_sha256(
             daemon, orch_world, orch_spec, tmp_path,
             collections=2, interval_days=5,
         )}
@@ -522,7 +528,7 @@ class TestSharedEngine:
         assert sorted(lane for _, lane, _ in cold_starts) == ["fast", "slow"]
         assert len({day for _, _, day in cold_starts}) == 1
         for cid, interval in ((cid_a, 5), (cid_b, 7)):
-            assert daemon.result_sha256(cid) == self._fresh_sha256(
+            assert daemon.result_sha256(cid) == fresh_sha256(
                 daemon, orch_world, orch_spec, tmp_path,
                 collections=3, interval_days=interval,
             )

@@ -8,8 +8,30 @@ from repro.cli import main
 from repro.resilience import SCENARIOS
 from repro.resilience.chaos import run_scenario
 
+#: Units each scenario's final process bills at the harness defaults (seed
+#: 7, scale 0.05, 2 collections of 48 bins).  A crash scenario's count is
+#: the restarted process's alone: only what the spill store and its
+#: sidecar did not hold is queried again.
+QUOTA_UNITS = {
+    "boundary-crash": 4_800,
+    "burst-500s": 9_600,
+    "hard-outage": 1_000,
+    "invalid-page-token": 9_600,
+    "malformed-json": 9_600,
+    "midsnapshot-crash": 2_600,
+    "quota-cliff": 9_600,
+    "ratelimit-storm": 9_600,
+}
+
 
 class TestRunScenario:
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_every_scenario_passes(self, name, tmp_path):
+        report = run_scenario(name, tmp_path)
+        assert report.passed, report.render()
+        assert report.quota_units == QUOTA_UNITS[name]
+        assert (tmp_path / "faulted.spill" / "manifest.json").exists()
+
     def test_malformed_json_scenario_passes(self, tmp_path):
         report = run_scenario("malformed-json", tmp_path)
         assert report.passed
@@ -29,9 +51,9 @@ class TestRunScenario:
         by_name = {check.name: check for check in report.checks}
         assert by_name["interrupted-then-resumed"].passed
         assert by_name["byte-identical-result"].passed
-        # The faulted files stay in the workdir for post-mortems.
+        # The faulted store stays in the workdir for post-mortems.
         assert (tmp_path / "clean.jsonl").exists()
-        assert (tmp_path / "faulted.jsonl").exists()
+        assert (tmp_path / "faulted.spill").is_dir()
 
     def test_trace_export(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -63,7 +85,7 @@ class TestCrashScenarios:
         report = run_scenario(name, tmp_path)
         assert report.passed, report.render()
         by_name = {check.name: check for check in report.checks}
-        # The process died, a fresh stack resumed from the checkpoint...
+        # The process died, a fresh stack resumed from the spill store...
         assert by_name["crashed-then-resumed"].passed
         # ...and nothing shows: bytes identical, ledger exact, no bin
         # billed twice across the two process lifetimes.

@@ -22,6 +22,7 @@ from repro.core.consistency import (
 from repro.core.datasets import CampaignResult, Snapshot, TopicSnapshot
 from repro.core.experiments import paper_campaign_config
 from repro.core.index import campaign_index
+from repro.core.spill import SpillStore
 from repro.obs import CampaignObserver
 from repro.resilience import (
     FaultPlan,
@@ -57,7 +58,7 @@ def _service(config, world, observer=None):
 
 class TestPartialSnapshotStore:
     def test_round_trip(self, tmp_path):
-        store = PartialSnapshotStore(tmp_path / "c.jsonl.partial")
+        store = PartialSnapshotStore(tmp_path / "partial.jsonl")
         assert store.load() is None and not store.exists()
         store.begin(3, WHEN)
         store.record_hour("higgs", 0, ["a", "b"], 17)
@@ -132,8 +133,9 @@ class TestPartialSnapshotStore:
 class TestKillMidSnapshot:
     def test_resume_reissues_only_missing_bins(self, tmp_path):
         """Killed 25 queries into snapshot 0 by quota exhaustion, the rerun
-        replays those 25 bins from the sidecar, finishes the campaign, and
-        the saved file is byte-identical to an unfaulted run."""
+        replays those 25 bins from the spill directory's sidecar, finishes
+        the campaign, and the store is byte-identical to an unfaulted run's
+        saved file."""
         config = _mini_config(collections=2)
         world = build_world(config.topics, seed=SEED, with_comments=False)
 
@@ -149,33 +151,37 @@ class TestKillMidSnapshot:
             [FaultSpec(start=25, count=1, error="quotaExceeded")]
         )
         client = YouTubeClient(service, observer=observer)
-        checkpoint = tmp_path / "faulted.jsonl"
+        spill = tmp_path / "faulted.spill"
         with pytest.raises(QuotaExceededError):
-            run_campaign(config, client, checkpoint_path=checkpoint)
+            run_campaign(config, client, spill=spill)
 
-        sidecar = PartialSnapshotStore(str(checkpoint) + ".partial")
+        sidecar = PartialSnapshotStore(spill / "partial.jsonl")
         partial = sidecar.load()
         assert partial.index == 0
         assert len(partial.hours) == 25  # ticks 0..24 completed before the cliff
+        assert SpillStore.open(spill).n_snapshots == 0
 
-        resumed = run_campaign(config, client, checkpoint_path=checkpoint)
-        assert resumed.n_collections == 2
-        assert checkpoint.read_bytes() == clean_path.read_bytes()
+        run_campaign(config, client, spill=spill)
+        store = SpillStore.open(spill)
+        assert store.n_snapshots == 2
+        exported = tmp_path / "faulted.jsonl"
+        store.export_jsonl(exported)
+        assert exported.read_bytes() == clean_path.read_bytes()
         # Interrupted + resumed issued exactly as many completed calls as the
-        # clean run: the 25 checkpointed bins were never re-queried.
+        # clean run: the 25 recorded bins were never re-queried.
         assert service.transport.total_calls == clean_calls
         checkpoints = [
             e.fields["action"] for e in observer.tracer.of_type("campaign.checkpoint")
         ]
-        assert "resume-partial" in checkpoints
-        assert not sidecar.exists()  # cleared once the snapshot was persisted
+        assert checkpoints == ["resume-partial"]
+        assert not sidecar.exists()  # cleared once the snapshot was spilled
         degraded = observer.tracer.of_type("degraded")
         assert any(e.fields["scope"] == "quota" for e in degraded)
 
     def test_stale_partial_from_persisted_snapshot_is_cleared(self, tmp_path):
         config = _mini_config(collections=1)
         world = build_world(config.topics, seed=SEED, with_comments=False)
-        store = PartialSnapshotStore(tmp_path / "c.jsonl.partial")
+        store = PartialSnapshotStore(tmp_path / "partial.jsonl")
         store.begin(0, WHEN)
         store.record_hour(config.topics[0].key, 0, ["bogus"], 1)
         collector = SnapshotCollector(
@@ -189,7 +195,7 @@ class TestKillMidSnapshot:
     def test_partial_ahead_of_campaign_checkpoint_raises(self, tmp_path):
         config = _mini_config(collections=1)
         world = build_world(config.topics, seed=SEED, with_comments=False)
-        store = PartialSnapshotStore(tmp_path / "c.jsonl.partial")
+        store = PartialSnapshotStore(tmp_path / "partial.jsonl")
         store.begin(2, WHEN)
         collector = SnapshotCollector(
             YouTubeClient(_service(config, world)), config.topics,

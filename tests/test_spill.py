@@ -13,8 +13,8 @@ pinned here:
   torn data files from a crash mid-append are ignored on ``open``, while
   corruption of a *referenced* file raises loudly;
 * **campaign-runner integration** — ``run_campaign(spill=...)`` spills
-  as it collects, resumes from the manifest, keeps memory bounded with
-  ``retain_snapshots=False``, and produces byte-identical output to the
+  as it collects, resumes from the manifest, keeps no snapshot in memory
+  once it is spilled, and produces byte-identical output to the
   in-memory path.
 
 ``CampaignResult.save``/``load`` round-trip properties live here too —
@@ -305,7 +305,6 @@ class TestGoldenSpill:
         run_campaign(
             config, YouTubeClient(service),
             spill=tmp_path / "spill",
-            retain_snapshots=False,
             engine=engine,
         )
         assert service.quota.total_used == GOLDEN["quota_units"]
@@ -330,7 +329,6 @@ class TestGoldenSpill:
         run_campaign(
             golden_config(specs, GOLDEN_COMMENTS), YouTubeClient(service),
             spill=tmp_path / "spill",
-            retain_snapshots=False,
             engine=engine,
         )
         assert service.quota.total_used == GOLDEN_COMMENTS["quota_units"]
@@ -383,11 +381,8 @@ class TestRunCampaignSpill:
     def test_spill_matches_in_memory_run(self, tiny_stack, tmp_path):
         world, spec = tiny_stack
         config = _tiny_config(spec, 3)
-        spilled = run_campaign(
-            config, _tiny_client(world, spec), spill=tmp_path / "spill"
-        )
+        run_campaign(config, _tiny_client(world, spec), spill=tmp_path / "spill")
         direct = run_campaign(config, _tiny_client(world, spec))
-        assert spilled.snapshots == direct.snapshots  # retained by default
         store = SpillStore.open(tmp_path / "spill")
         assert store.load().snapshots == direct.snapshots
         saved = tmp_path / "direct.jsonl"
@@ -399,11 +394,11 @@ class TestRunCampaignSpill:
     def test_retain_false_drops_snapshots_but_store_is_complete(
         self, tiny_stack, tmp_path
     ):
+        """A spilled run keeps no snapshot in memory: the store holds them."""
         world, spec = tiny_stack
         config = _tiny_config(spec, 2)
         result = run_campaign(
-            config, _tiny_client(world, spec),
-            spill=tmp_path / "spill", retain_snapshots=False,
+            config, _tiny_client(world, spec), spill=tmp_path / "spill"
         )
         assert result.snapshots == []
         assert SpillStore.open(tmp_path / "spill").n_snapshots == 2
@@ -415,7 +410,7 @@ class TestRunCampaignSpill:
             _tiny_config(spec, 2), _tiny_client(world, spec),
             spill=tmp_path / "spill",
         )
-        # Restart: the spill directory is the checkpoint.
+        # Restart: the spill directory is the campaign's durable state.
         recorder = _CheckpointRecorder()
         run_campaign(
             _tiny_config(spec, 4), _tiny_client(world, spec),
@@ -445,25 +440,6 @@ class TestRunCampaignSpill:
         with pytest.raises(ValueError, match="schedule says"):
             run_campaign(
                 shifted, _tiny_client(world, spec), spill=tmp_path / "spill"
-            )
-
-    def test_spill_and_checkpoint_are_mutually_exclusive(
-        self, tiny_stack, tmp_path
-    ):
-        world, spec = tiny_stack
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            run_campaign(
-                _tiny_config(spec, 2), _tiny_client(world, spec),
-                spill=tmp_path / "spill",
-                checkpoint_path=tmp_path / "ck.jsonl",
-            )
-
-    def test_retain_false_requires_spill(self, tiny_stack):
-        world, spec = tiny_stack
-        with pytest.raises(ValueError, match="needs a spill store"):
-            run_campaign(
-                _tiny_config(spec, 2), _tiny_client(world, spec),
-                retain_snapshots=False,
             )
 
     def test_partial_sidecar_cleared_after_completion(

@@ -14,8 +14,9 @@ CLI entry point:
    snapshots than scheduled (the crash really landed mid-run);
 4. rerun the same command over the crashed workdir — recovery re-admits
    the campaign and finishes it;
-5. assert the recovered run's result digest, billed units, and quota
-   ledger equal the uninterrupted reference **exactly**.
+5. assert the recovered run's result digest (its spill store's
+   canonical serialization), billed units, and quota ledger equal the
+   uninterrupted reference **exactly**.
 
 Exit code 0 on success, 1 with a diagnosis on any violation.
 """

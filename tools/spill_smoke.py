@@ -13,7 +13,7 @@ fault — against the actual CLI entry point:
 3. verify the manifest replays to a consistent prefix (the crash really
    landed mid-run, and ``SpillStore.open`` accepts the directory);
 4. rerun the same command over the same spill directory — the store is
-   the checkpoint, so the run resumes and finishes;
+   the campaign's durable state, so the run resumes and finishes;
 5. assert the spilled campaign's digest equals the oracle's file hash
    **exactly**, the ``--out`` export is byte-identical, and analyses
    rendered from the spill directory match the oracle's.
