@@ -3,9 +3,9 @@
 
 One ``CampaignObserver`` attached at ``build_service`` instruments the
 whole stack — every API call, quota charge, retry, topic sweep, and
-snapshot boundary lands in a metrics registry and a JSONL-exportable
-trace.  The script then demonstrates the layer's core guarantee: the
-units the trace accounts for equal the quota ledger's total exactly.
+snapshot boundary lands in one JSONL-exportable trace.  The script then
+demonstrates the layer's core guarantee: the units the trace accounts
+for equal the quota ledger's total exactly.
 
 A pinch of fault injection is enabled so the retry columns are non-zero;
 retries happen *before* billing, so they never distort the quota numbers.
@@ -23,6 +23,7 @@ from repro import CampaignObserver, YouTubeClient, build_service, build_world
 from repro.api.quota import QuotaPolicy
 from repro.api.transport import FaultInjector, LatencyModel, Transport
 from repro.core import paper_campaign_config, run_campaign
+from repro.obs import render_observability, summarize_events
 from repro.world.corpus import scale_topics
 from repro.world.topics import paper_topics
 
@@ -60,16 +61,17 @@ def main(argv: list[str]) -> None:
           file=sys.stderr)
     campaign = run_campaign(config, client)
 
-    print(observer.report())
+    summary = summarize_events(observer.tracer.iter_dicts())
+    print(render_observability(summary))
     print()
     print(f"campaign: {campaign.n_collections} collections, "
           f"{len(observer.tracer)} trace events")
 
     # The acceptance invariant: the trace accounts for every billed unit.
-    assert observer.total_quota_units == service.quota.total_used, (
-        observer.total_quota_units, service.quota.total_used,
+    assert summary.total_units == service.quota.total_used, (
+        summary.total_units, service.quota.total_used,
     )
-    print(f"quota reconciliation: trace total {int(observer.total_quota_units):,} "
+    print(f"quota reconciliation: trace total {summary.total_units:,} "
           f"== ledger total {service.quota.total_used:,} ✓")
 
     if args.trace_out:

@@ -13,8 +13,8 @@ The package has three layers:
 3. **Practice** — the collection strategies the paper evaluates and
    recommends (:mod:`repro.strategies`).
 
-Cross-cutting the layers, :mod:`repro.obs` provides tracing, metrics, and
-quota accounting for collection runs (attach a
+Cross-cutting the layers, :mod:`repro.obs` provides a trace of typed
+events, quota accounting included, for collection runs (attach a
 :class:`~repro.obs.CampaignObserver` via ``build_service(...,
 observer=...)``); see ``docs/OBSERVABILITY.md``.
 

@@ -68,7 +68,7 @@ class YouTubeClient:
 
     @property
     def observer(self) -> Observer:
-        """The observability hooks this client reports retries/errors to."""
+        """The observer this client reports retries and errors to."""
         return self._observer
 
     @property
@@ -95,17 +95,20 @@ class YouTubeClient:
                     if self._breaker is not None:
                         self._breaker.record_failure(endpoint)
                     attempt += 1
-                    if attempt >= self._policy.max_attempts:
-                        self._observer.on_api_error(endpoint, exc)
-                        raise
-                    self._policy.spend_retry(endpoint, exc)
-                    self._observer.on_api_retry(endpoint, attempt, exc)
-                    self._backoff(attempt)
-                    continue
-                # FAIL surfaces a client bug; SCHEDULE surfaces quota
-                # exhaustion for the campaign layer to checkpoint on.
-                # Neither counts against the breaker: the backend is fine.
-                self._observer.on_api_error(endpoint, exc)
+                    if attempt < self._policy.max_attempts:
+                        self._policy.spend_retry(endpoint, exc)
+                        self._observer.emit(
+                            "api.retry", endpoint, attempt, type(exc).__name__
+                        )
+                        self._backoff(attempt)
+                        continue
+                # Retries are exhausted, or the error is not retriable: FAIL
+                # surfaces a client bug; SCHEDULE surfaces quota exhaustion
+                # for the campaign layer to checkpoint on.  Neither of those
+                # counts against the breaker: the backend is fine.
+                self._observer.emit(
+                    "api.error", endpoint, type(exc).__name__, str(exc)[:200]
+                )
                 raise
             else:
                 if self._breaker is not None:
@@ -129,7 +132,9 @@ class YouTubeClient:
                 if restarts > self._policy.max_pagination_restarts:
                     raise
                 self._policy.spend_retry(endpoint, exc)
-                self._observer.on_pagination_restart(endpoint, restarts, exc)
+                self._observer.emit(
+                    "pagination.restart", endpoint, restarts, type(exc).__name__
+                )
 
     # -- search ---------------------------------------------------------------
 
@@ -168,7 +173,7 @@ class YouTubeClient:
                 page_token = response.get("nextPageToken")
                 if not page_token or len(items) >= limit:
                     items = items[:limit]
-                    self._observer.on_search_query(pages, len(items))
+                    self._observer.emit("search.query", pages, len(items))
                     return items
 
         return self._paginate("search.list", collect)

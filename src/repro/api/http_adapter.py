@@ -167,39 +167,40 @@ class _HttpEndpoint:
             with urllib.request.urlopen(url, timeout=service.timeout) as response:
                 body = response.read()
         except urllib.error.HTTPError as exc:  # pragma: no cover - network
-            service.quota.refund(self.endpoint_name, day)
             error = classify_http_error(exc.code, exc.read())
-            service.observer.on_api_error(self.endpoint_name, error)
-            raise error from exc
+            raise self._failed(day, error) from exc
         except urllib.error.URLError as exc:  # pragma: no cover - network
-            service.quota.refund(self.endpoint_name, day)
             error = TransientServerError(f"network error: {exc.reason}")
-            service.observer.on_api_error(self.endpoint_name, error)
-            raise error from exc
+            raise self._failed(day, error) from exc
         try:
             payload = json.loads(body)
         except json.JSONDecodeError as exc:
             # A 2xx status with an unparseable body: the connection dropped
             # mid-response.  Retriable — the request itself was accepted.
-            service.quota.refund(self.endpoint_name, day)
             error = MalformedResponseError(
                 f"truncated or invalid JSON body from {self.endpoint_name} "
                 f"({len(body)} bytes): {exc}"
             )
-            service.observer.on_api_error(self.endpoint_name, error)
-            raise error from exc
+            raise self._failed(day, error) from exc
         now = datetime.now(timezone.utc)
-        service.transport.observe(
-            self.endpoint_name, now, service.quota.cost_of(self.endpoint_name)
-        )
+        cost = service.quota.cost_of(self.endpoint_name)
+        service.transport.observe(self.endpoint_name, now, cost)
         # Real wall latency, not the transport's simulated draw.
-        service.observer.on_api_call(
-            self.endpoint_name,
-            now,
-            service.quota.cost_of(self.endpoint_name),
-            (time.perf_counter() - started) * 1000.0,
+        latency_ms = (time.perf_counter() - started) * 1000.0
+        service.observer.emit(
+            "api.call", self.endpoint_name, cost, latency_ms, at=now
         )
         return payload
+
+    def _failed(self, day: str, error: ApiError) -> ApiError:
+        """Refund a call that died after billing; report and return its error."""
+        service = self._service
+        service.quota.refund(self.endpoint_name, day)
+        service.observer.emit(
+            "api.error", self.endpoint_name, type(error).__name__,
+            str(error)[:200],
+        )
+        return error
 
 
 class RealYouTubeService:

@@ -12,8 +12,8 @@ The ledger buckets usage by the *virtual* day and raises
 collection strategies can be compared on real token economics.
 
 An optional observer (see :mod:`repro.obs.observer`) hears every accepted
-charge via ``on_quota_spend``; rejected charges are not reported because
-they were never billed.
+charge as a ``quota.spend`` event; rejected charges are not reported
+because they were never billed.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class QuotaLedger:
     """Tracks unit consumption per virtual day."""
 
     policy: QuotaPolicy = field(default_factory=QuotaPolicy)
-    #: Observability hook (``repro.obs.Observer``); ``None`` means silent.
+    #: Where charges are reported (``repro.obs.Observer``); ``None`` means silent.
     observer: object | None = field(default=None, repr=False, compare=False)
     _usage: dict[str, int] = field(default_factory=dict)
     _total: int = 0
@@ -100,7 +100,9 @@ class QuotaLedger:
             self._usage[day] = used + cost
             self._total += cost
             if self.observer is not None:
-                self.observer.on_quota_spend(endpoint, day, cost, self._usage[day])
+                self.observer.emit(
+                    "quota.spend", endpoint, day, cost, self._usage[day]
+                )
             return self._usage[day]
 
     def charge_many(
@@ -116,14 +118,14 @@ class QuotaLedger:
         single lock acquisition instead of one per page.  Accounting is
         call-by-call and therefore *identical* to ``calls`` sequential
         :meth:`charge` invocations: each call is limit-checked before it
-        is billed, ``on_quota_spend`` fires per call with the running
+        is billed, ``quota.spend`` is emitted per call with the running
         total, and the charge that would cross the limit raises the same
         ``QuotaExceededError`` message — leaving the prior calls billed,
         exactly as a per-call loop would.
 
         ``after_each``, when given, is invoked once after each accepted
         charge (still inside the lock): the service layer uses it to emit
-        the matching ``on_api_call`` so traces interleave quota.spend and
+        the matching ``api.call`` so traces interleave quota.spend and
         api.call events exactly as the per-call path does.
 
         Returns the day's usage after the last accepted charge.
@@ -143,8 +145,8 @@ class QuotaLedger:
                 self._usage[day] = used + cost
                 self._total += cost
                 if self.observer is not None:
-                    self.observer.on_quota_spend(
-                        endpoint, day, cost, self._usage[day]
+                    self.observer.emit(
+                        "quota.spend", endpoint, day, cost, self._usage[day]
                     )
                 if after_each is not None:
                     after_each()
@@ -171,7 +173,7 @@ class QuotaLedger:
             self._usage[day] = used - cost
             self._total -= cost
             if self.observer is not None:
-                self.observer.on_quota_refund(endpoint, day, cost)
+                self.observer.emit("quota.refund", endpoint, day, cost)
             return self._usage[day]
 
     def absorb(self, usage: dict[str, int], endpoint: str = "search.list") -> int:
@@ -202,7 +204,7 @@ class QuotaLedger:
                 self._total += units
                 absorbed += units
                 if self.observer is not None:
-                    self.observer.on_quota_spend(endpoint, day, units, used)
+                    self.observer.emit("quota.spend", endpoint, day, units, used)
                 if used > limit and exceeded is None:
                     exceeded = (day, used)
             if exceeded is not None:

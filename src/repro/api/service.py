@@ -84,7 +84,9 @@ class YouTubeService:
         self.quota.charge(endpoint, day)
         now = self.clock.now()
         record = self.transport.observe(endpoint, now, self.quota.cost_of(endpoint))
-        self.observer.on_api_call(endpoint, now, record.units, record.latency_ms)
+        self.observer.emit(
+            "api.call", endpoint, record.units, record.latency_ms, at=now
+        )
         return now
 
     def begin_sweep(self, endpoint: str, calls: int) -> datetime:
@@ -116,7 +118,7 @@ class YouTubeService:
         latencies = iter(self.transport.observe_many(endpoint, now, cost, calls))
 
         def emit_call() -> None:
-            self.observer.on_api_call(endpoint, now, cost, next(latencies))
+            self.observer.emit("api.call", endpoint, cost, next(latencies), at=now)
 
         self.quota.charge_many(endpoint, day, calls, after_each=emit_call)
         return now

@@ -129,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs = sub.add_parser("obs", help="observability reports over JSONL traces")
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     obs_report = obs_sub.add_parser(
-        "report", help="render the metrics summary of a trace file"
+        "report", help="render the summary of a trace file: calls, quota "
+                       "per endpoint and topic, retries, snapshots"
     )
     obs_report.add_argument("trace_path", metavar="TRACE_JSONL")
 
@@ -527,7 +528,6 @@ def _cmd_chaos(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from repro.obs import CampaignObserver
     from repro.serve import KeyTable, SimulatorServer, build_gateway
 
     # Credentials are random (secrets-based): the world is deterministic,
@@ -541,10 +541,7 @@ def _cmd_serve(args) -> int:
         keys = KeyTable(path=args.key_file)
     print(f"building world (scale={args.scale}, seed={args.seed})...",
           file=sys.stderr)
-    gateway = build_gateway(
-        scale=args.scale, seed=args.seed, keys=keys,
-        observer=CampaignObserver(),
-    )
+    gateway = build_gateway(scale=args.scale, seed=args.seed, keys=keys)
     existing = len(keys.list())
     for i in range(args.mint):
         key = gateway.mint_key(
@@ -622,7 +619,6 @@ def _cmd_orchestrate(args) -> int:
     import threading
     import time
 
-    from repro.obs import CampaignObserver
     from repro.orchestrator import OrchestratorDaemon, TERMINAL_STATES
     from repro.serve import KeyTable, ServeError, build_gateway
 
@@ -643,10 +639,7 @@ def _cmd_orchestrate(args) -> int:
         keys = KeyTable(seed=args.seed, path=key_path)
     print(f"building world (scale={args.scale}, seed={args.seed})...",
           file=sys.stderr)
-    gateway = build_gateway(
-        scale=args.scale, seed=args.seed, keys=keys,
-        observer=CampaignObserver(),
-    )
+    gateway = build_gateway(scale=args.scale, seed=args.seed, keys=keys)
     daemon = OrchestratorDaemon(
         gateway, workdir,
         max_running=args.max_running, max_queued=args.max_queued,

@@ -129,7 +129,9 @@ def run_campaign(
                     f"{collected_at}, schedule says {dates[index]}"
                 )
         done = spill.n_snapshots
-        observer.on_checkpoint("resume-spill", str(spill.directory), done)
+        observer.emit(
+            "campaign.checkpoint", "resume-spill", str(spill.directory), done
+        )
         if stream is not None:
             for snap in spill.iter_snapshots():
                 stream.add_snapshot(snap)
@@ -137,7 +139,9 @@ def run_campaign(
     if partial is not None and partial.exists() and done < len(dates):
         existing = partial.load()
         if existing is not None and existing.index == done:
-            observer.on_checkpoint("resume-partial", str(partial.path), done)
+            observer.emit(
+                "campaign.checkpoint", "resume-partial", str(partial.path), done
+            )
 
     for index in range(done, len(dates)):
         client.service.clock.set(dates[index])
@@ -147,8 +151,8 @@ def run_campaign(
         except QuotaExceededError as exc:
             # A scheduling event: completed hour bins are already in the
             # partial sidecar; surface it so the operator waits for quota.
-            observer.on_degraded(
-                "quota", f"snapshot {index} interrupted: {exc}"
+            observer.emit(
+                "degraded", "quota", f"snapshot {index} interrupted: {exc}"[:200]
             )
             raise
         if stream is not None:

@@ -27,6 +27,7 @@ Resilience (see :mod:`repro.resilience` and ``docs/RESILIENCE.md``):
 
 from __future__ import annotations
 
+import time
 from datetime import timedelta
 
 from repro.api.client import YouTubeClient
@@ -124,7 +125,8 @@ class SnapshotCollector:
         completed = self._load_partial(index)
         if completed is None and self._partial is not None:
             self._partial.begin(index, collected_at)
-        self._observer.on_snapshot_start(index, collected_at)
+        self._observer.emit("snapshot.start", index, at=collected_at)
+        wall_start = time.perf_counter()
         units_before = service.quota.total_used
         calls_before = service.transport.total_calls
 
@@ -132,11 +134,15 @@ class SnapshotCollector:
         for spec in self._topics:
             done = completed.completed_for(spec.key) if completed else {}
             topics[spec.key] = self._collect_topic(spec, with_comments, done)
-        self._observer.on_snapshot_end(
+        ended_at = service.clock.now()
+        self._observer.emit(
+            "snapshot.end",
             index,
-            service.clock.now(),
-            units=service.quota.total_used - units_before,
-            calls=service.transport.total_calls - calls_before,
+            service.quota.total_used - units_before,
+            service.transport.total_calls - calls_before,
+            time.perf_counter() - wall_start,
+            (ended_at - collected_at).total_seconds(),
+            at=ended_at,
         )
         return Snapshot(index=index, collected_at=collected_at, topics=topics)
 
@@ -170,7 +176,7 @@ class SnapshotCollector:
     ) -> TopicSnapshot:
         service = self._client.service
         collected_at = service.clock.now()
-        self._observer.on_topic_start(spec.key, collected_at)
+        self._observer.emit("topic.start", spec.key, at=collected_at)
         units_before = service.quota.total_used
         hour_video_ids: dict[int, list[str]] = {}
         pool_sizes: dict[int, int] = {}
@@ -195,12 +201,13 @@ class SnapshotCollector:
             swept = run_topic_sweep(self._client, spec.query, bounds)
             if swept is not None:
                 calls = sum(hour.pages for hour in swept)
-                self._observer.on_collect_sweep(
+                self._observer.emit(
+                    "collect.sweep",
                     spec.key,
-                    bins=len(bounds),
-                    calls=calls,
-                    units=calls * search_cost,
-                    videos=sum(len(hour.ids) for hour in swept),
+                    len(bounds),
+                    calls,
+                    calls * search_cost,
+                    sum(len(hour.ids) for hour in swept),
                 )
 
         for hour_index in range(len(bounds)):
@@ -215,7 +222,7 @@ class SnapshotCollector:
                 # after the loop.
                 hour = swept[hour_index]
                 ids, pool = hour.ids, hour.total_results
-                self._observer.on_search_query(hour.pages, len(ids))
+                self._observer.emit("search.query", hour.pages, len(ids))
                 swept_bins.append(
                     (hour_index, ids, pool, hour.pages * search_cost)
                 )
@@ -230,10 +237,8 @@ class SnapshotCollector:
                     if not self._tolerate_failures:
                         raise
                     missing_hours.append(hour_index)
-                    self._observer.on_degraded(
-                        "hour-bin",
-                        f"{spec.key} hour {hour_index}: {type(exc).__name__}",
-                    )
+                    detail = f"{spec.key} hour {hour_index}: {type(exc).__name__}"
+                    self._observer.emit("degraded", "hour-bin", detail[:200])
                     continue
                 if self._partial is not None:
                     self._partial.record_hour(
@@ -267,11 +272,12 @@ class SnapshotCollector:
             comments=comments,
             missing_hours=missing_hours,
         )
-        self._observer.on_topic_end(
+        self._observer.emit(
+            "topic.end",
             spec.key,
-            service.clock.now(),
-            units=service.quota.total_used - units_before,
-            videos=snapshot.total_returned,
+            service.quota.total_used - units_before,
+            snapshot.total_returned,
+            at=service.clock.now(),
         )
         return snapshot
 
@@ -306,7 +312,10 @@ class SnapshotCollector:
                 if restarts > self._client.retry_policy.max_pagination_restarts:
                     raise
                 self._client.retry_policy.spend_retry("search.list", exc)
-                self._observer.on_pagination_restart("search.list", restarts, exc)
+                self._observer.emit(
+                    "pagination.restart", "search.list", restarts,
+                    type(exc).__name__,
+                )
 
     def _query_hour_once(
         self, spec: TopicSpec, published_after: str, published_before: str
@@ -334,7 +343,7 @@ class SnapshotCollector:
             ids.extend(item["id"]["videoId"] for item in response["items"])
             page_token = response.get("nextPageToken")
             if not page_token:
-                self._observer.on_search_query(pages, len(ids))
+                self._observer.emit("search.query", pages, len(ids))
                 return ids, pool
 
     def _fetch_metadata(

@@ -181,6 +181,47 @@ class TopicIndex:
                 column[row] = True
         return column
 
+    def _fill_column(
+        self, t: int, flat_ids: list[str], flat_hours: list[int]
+    ) -> None:
+        """Intern one collection's :func:`_flatten`-ed returns into column ``t``.
+
+        One interning pass per collection, not per hour bin: a single
+        ``fromiter``.  A video's first bin in hour-bin insertion order
+        lands in ``hour_of``, its later bins in the same collection in
+        ``extra_hours``.  Every ID must already have a row.
+        """
+        if not flat_ids:
+            return
+        rows = np.fromiter(
+            map(self.row_of.__getitem__, flat_ids), dtype=np.intp,
+            count=len(flat_ids),
+        )
+        uniq, first_pos = np.unique(rows, return_index=True)
+        self.present[uniq, t] = True
+        hours_arr = np.asarray(flat_hours, dtype=np.int32)
+        self.hour_of[uniq, t] = hours_arr[first_pos]
+        if uniq.size != rows.size:  # same video in a second bin (rare)
+            dup = np.ones(rows.size, dtype=bool)
+            dup[first_pos] = False
+            per_t = self.extra_hours.setdefault(t, {})
+            for pos in np.nonzero(dup)[0]:
+                row, hour = int(rows[pos]), int(flat_hours[pos])
+                if self.hour_of[row, t] != hour:
+                    per_t[row] = per_t.get(row, ()) + (hour,)
+
+
+def _flatten(ts) -> tuple[list[str], list[int]]:
+    """A topic-snapshot's returned IDs and their hour bins, in hour-bin
+    insertion order."""
+    flat_ids: list[str] = []
+    flat_hours: list[int] = []
+    for hour, ids in ts.hour_video_ids.items():
+        if ids:
+            flat_ids.extend(ids)
+            flat_hours.extend([hour] * len(ids))
+    return flat_ids, flat_hours
+
 
 def _jaccard_counts(intersection: int, union: int) -> float:
     """``consistency.jaccard`` on set cardinalities (empty/empty -> 1.0)."""
@@ -262,67 +303,36 @@ class CampaignIndex:
         n = campaign.n_collections
         topics: dict[str, TopicIndex] = {}
         for key in campaign.topic_keys:
+            snaps = [snap.topics[key] for snap in campaign.snapshots]
             universe: set[str] = set()
-            for snap in campaign.snapshots:
-                for ids in snap.topics[key].hour_video_ids.values():
+            for ts in snaps:
+                for ids in ts.hour_video_ids.values():
                     universe.update(ids)
             video_ids = tuple(sorted(universe))
-            row_of = {vid: row for row, vid in enumerate(video_ids)}
-            present = np.zeros((len(video_ids), n), dtype=bool)
-            hour_of = np.full((len(video_ids), n), -1, dtype=np.int32)
-            extra: dict[int, dict[int, tuple[int, ...]]] = {}
-            missing: list[tuple[int, ...]] = []
-            pool_draws: list[int] = []
-            for t, snap in enumerate(campaign.snapshots):
-                ts = snap.topics[key]
-                missing.append(tuple(ts.missing_hours))
-                pool_draws.extend(ts.pool_sizes.values())
-                # One interning pass per collection (not per hour bin):
-                # flatten the hour lists, then intern in a single fromiter.
-                flat_ids: list[str] = []
-                flat_hours: list[int] = []
-                for hour, ids in ts.hour_video_ids.items():
-                    if ids:
-                        flat_ids.extend(ids)
-                        flat_hours.extend([hour] * len(ids))
-                if not flat_ids:
-                    continue
-                rows = np.fromiter(
-                    map(row_of.__getitem__, flat_ids), dtype=np.intp,
-                    count=len(flat_ids),
-                )
-                # First occurrence (hour-bin insertion order) wins, exactly
-                # like the per-hour scan it replaces.
-                uniq, first_pos = np.unique(rows, return_index=True)
-                present[uniq, t] = True
-                hours_arr = np.asarray(flat_hours, dtype=np.int32)
-                hour_of[uniq, t] = hours_arr[first_pos]
-                if uniq.size != rows.size:  # same video in a second bin (rare)
-                    dup = np.ones(rows.size, dtype=bool)
-                    dup[first_pos] = False
-                    per_t = extra.setdefault(t, {})
-                    for pos in np.nonzero(dup)[0]:
-                        row, hour = int(rows[pos]), int(flat_hours[pos])
-                        if hour_of[row, t] != hour:
-                            per_t[row] = per_t.get(row, ()) + (hour,)
-            topics[key] = TopicIndex(
+            ti = TopicIndex(
                 topic=key,
                 video_ids=video_ids,
-                row_of=row_of,
-                present=present,
-                hour_of=hour_of,
-                extra_hours=extra,
-                missing_hours=tuple(missing),
-                pool_draws=pool_draws,
+                row_of={vid: row for row, vid in enumerate(video_ids)},
+                present=np.zeros((len(video_ids), n), dtype=bool),
+                hour_of=np.full((len(video_ids), n), -1, dtype=np.int32),
+                extra_hours={},
+                missing_hours=tuple(tuple(ts.missing_hours) for ts in snaps),
+                pool_draws=[
+                    pool for ts in snaps for pool in ts.pool_sizes.values()
+                ],
             )
+            for t, ts in enumerate(snaps):
+                ti._fill_column(t, *_flatten(ts))
+            topics[key] = ti
         wall_s = time.perf_counter() - t0
         index = cls(campaign, topics, fingerprint or _fingerprint(campaign), wall_s)
         if observer is not None:
-            observer.on_index_build(
-                topics=len(topics),
-                videos=sum(ti.n_videos for ti in topics.values()),
-                collections=n,
-                wall_s=wall_s,
+            observer.emit(
+                "index.build",
+                len(topics),
+                sum(ti.n_videos for ti in topics.values()),
+                n,
+                wall_s,
             )
         return index
 
@@ -401,19 +411,11 @@ class CampaignIndex:
         wall_s = time.perf_counter() - t0
         self.append_wall_s += wall_s
         if observer is not None:
-            observer.on_index_append(
-                collections=self._n, new_videos=new_videos, wall_s=wall_s
-            )
+            observer.emit("index.append", self._n, new_videos, wall_s)
 
     def _append_topic(self, ti: TopicIndex, ts, t: int) -> int:
         """Grow one topic by one collection; returns the new-video count."""
-        # Flatten exactly like build(): hour-bin insertion order.
-        flat_ids: list[str] = []
-        flat_hours: list[int] = []
-        for hour, ids in ts.hour_video_ids.items():
-            if ids:
-                flat_ids.extend(ids)
-                flat_hours.extend([hour] * len(ids))
+        flat_ids, flat_hours = _flatten(ts)
         new_ids = sorted(
             {vid for vid in flat_ids if vid not in ti.row_of}
         )
@@ -449,24 +451,7 @@ class CampaignIndex:
         )
         ti.missing_hours = ti.missing_hours + (tuple(ts.missing_hours),)
         ti.pool_draws.extend(ts.pool_sizes.values())
-        if flat_ids:
-            # Column fill: verbatim the build() interning pass.
-            rows = np.fromiter(
-                map(ti.row_of.__getitem__, flat_ids), dtype=np.intp,
-                count=len(flat_ids),
-            )
-            uniq, first_pos = np.unique(rows, return_index=True)
-            ti.present[uniq, t] = True
-            hours_arr = np.asarray(flat_hours, dtype=np.int32)
-            ti.hour_of[uniq, t] = hours_arr[first_pos]
-            if uniq.size != rows.size:
-                dup = np.ones(rows.size, dtype=bool)
-                dup[first_pos] = False
-                per_t = ti.extra_hours.setdefault(t, {})
-                for pos in np.nonzero(dup)[0]:
-                    row, hour = int(rows[pos]), int(flat_hours[pos])
-                    if ti.hour_of[row, t] != hour:
-                        per_t[row] = per_t.get(row, ()) + (hour,)
+        ti._fill_column(t, flat_ids, flat_hours)
         return len(new_ids)
 
     def _invalidate(self) -> None:

@@ -402,13 +402,14 @@ class SpillStore:
         except BaseException:
             self._manifest["snapshots"].pop()
             raise
-        self.observer.on_spill_write(
-            directory=str(self.directory),
-            index=snap.index,
-            topics=len(snap.topics),
-            records=len(data_lines) + len(meta_lines),
-            data_bytes=data_bytes + entry["meta_bytes"],
-            wall_s=time.perf_counter() - t0,
+        self.observer.emit(
+            "spill.write",
+            str(self.directory),
+            snap.index,
+            len(snap.topics),
+            len(data_lines) + len(meta_lines),
+            data_bytes + entry["meta_bytes"],
+            time.perf_counter() - t0,
         )
 
     # -- export --------------------------------------------------------------

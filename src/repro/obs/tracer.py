@@ -4,12 +4,15 @@ A :class:`Tracer` accumulates typed :class:`TraceEvent` records — the
 narrative of a collection run: every API call, retry, quota charge,
 snapshot boundary, and checkpoint.  Events carry the *virtual* timestamp
 (the simulator's request clock) so a trace lines up with the campaign
-schedule, plus whatever typed fields the emitter attaches.
+schedule, plus the fields their type declares; measured durations are
+kept at :data:`PRECISION`.
 
-The canonical event vocabulary lives in :data:`EVENT_TYPES`; the full
-field-by-field schema is documented in ``docs/OBSERVABILITY.md``.  Export
-goes through :mod:`repro.util.jsonio`, so traces share the repository's
-JSONL conventions (sorted keys, ``.gz`` support) and can be re-read with
+:data:`EVENT_TYPES` is the one event schema: it names every type and
+its fields, in the order emitters pass them to
+:meth:`repro.obs.observer.Observer.emit`; ``docs/OBSERVABILITY.md``
+documents each field, and a test keeps the two in step.  Export goes
+through :mod:`repro.util.jsonio`, so traces share the repository's JSONL
+conventions (sorted keys, ``.gz`` support) and can be re-read with
 :func:`repro.util.jsonio.read_jsonl` or rendered with
 ``python -m repro obs report trace.jsonl``.
 """
@@ -25,36 +28,48 @@ from typing import Iterator
 from repro.util.jsonio import read_jsonl, write_jsonl
 from repro.util.timeutil import format_rfc3339
 
-__all__ = ["EVENT_TYPES", "TraceEvent", "Tracer", "load_trace"]
+__all__ = ["EVENT_TYPES", "PRECISION", "TraceEvent", "Tracer", "load_trace"]
 
-#: The canonical event vocabulary (see docs/OBSERVABILITY.md for schemas).
-EVENT_TYPES = (
-    "api.call",
-    "api.retry",
-    "api.error",
-    "quota.spend",
-    "quota.refund",
-    "search.query",
-    "collect.sweep",
-    "pagination.restart",
-    "circuit.transition",
-    "degraded",
-    "topic.start",
-    "topic.end",
-    "snapshot.start",
-    "snapshot.end",
-    "campaign.checkpoint",
-    "index.build",
-    "index.append",
-    "spill.write",
-    "world.build",
-    "serve.request",
-    "serve.key",
-    "serve.campaign",
-    "orch.transition",
-    "orch.admission",
-    "orch.journal",
-)
+#: The event schema: each type's field names, in the order emitters pass
+#: their values (see docs/OBSERVABILITY.md for what each field means).
+#: ``quota.spend`` may also carry ``topic``: the observer adds it inside a
+#: topic's sweep.
+EVENT_TYPES: dict[str, tuple[str, ...]] = {
+    "api.call": ("endpoint", "units", "latency_ms"),
+    "api.retry": ("endpoint", "attempt", "error"),
+    "api.error": ("endpoint", "error", "message"),
+    "quota.spend": ("endpoint", "day", "units", "used_on_day"),
+    "quota.refund": ("endpoint", "day", "units"),
+    "search.query": ("pages", "results"),
+    "collect.sweep": ("topic", "bins", "calls", "units", "videos"),
+    "pagination.restart": ("endpoint", "restart", "error"),
+    "circuit.transition": ("endpoint", "old", "new"),
+    "degraded": ("scope", "detail"),
+    "topic.start": ("topic",),
+    "topic.end": ("topic", "units", "videos"),
+    "snapshot.start": ("index",),
+    "snapshot.end": ("index", "units", "calls", "wall_s", "virtual_s"),
+    "campaign.checkpoint": ("action", "path", "snapshots"),
+    "index.build": ("topics", "videos", "collections", "wall_s"),
+    "index.append": ("collections", "new_videos", "wall_s"),
+    "spill.write": (
+        "directory", "index", "topics", "records", "data_bytes", "wall_s",
+    ),
+    "world.build": ("videos", "channels", "threads", "tokens", "wall_s"),
+    "serve.request": ("route", "key", "status", "wall_ms", "outcome"),
+    "serve.key": ("action", "key"),
+    "serve.campaign": ("job", "key", "status"),
+    "orch.transition": ("campaign", "old", "new", "detail"),
+    "orch.admission": ("decision", "reason", "queued", "running"),
+    "orch.journal": ("action", "records"),
+}
+
+#: Decimal places a trace keeps of each measured duration.  Emitters pass
+#: the raw measurement and :meth:`Tracer.emit` rounds it, so an event that
+#: nothing records never pays for ``round()``, which costs several times
+#: the null observer's whole call; a paper campaign emits some 80,000
+#: ``api.call`` events.
+PRECISION = {"latency_ms": 3, "wall_ms": 3, "wall_s": 6}
 
 
 @dataclass(frozen=True)
@@ -78,29 +93,30 @@ class TraceEvent:
 class Tracer:
     """Collects :class:`TraceEvent` records in emission order.
 
-    ``strict`` (the default) rejects event types outside
-    :data:`EVENT_TYPES`, which keeps the trace schema honest; pass
-    ``strict=False`` to experiment with ad-hoc events.
+    Event types outside :data:`EVENT_TYPES` are rejected, which keeps the
+    trace schema honest.
     """
 
-    def __init__(self, strict: bool = True) -> None:
-        self._strict = strict
+    def __init__(self) -> None:
         self.events: list[TraceEvent] = []
         # seq assignment reads len(events) before appending; serialized
-        # because one tracer is shared by the serve gateway's HTTP executor
-        # and campaign-job threads and the orchestrator's worker threads
-        # (``repro serve`` / ``repro orchestrate`` attach one observer).
+        # because one observer may be shared across threads: the serve
+        # gateway's HTTP executor and campaign jobs, the orchestrator's
+        # workers.
         self._lock = threading.Lock()
 
     def emit(self, type: str, at: datetime | None = None, **fields) -> TraceEvent:
         """Append one event; reserved keys ``seq``/``type``/``at`` are rejected."""
-        if self._strict and type not in EVENT_TYPES:
+        if type not in EVENT_TYPES:
             raise ValueError(
                 f"unknown event type {type!r}; known: {', '.join(EVENT_TYPES)}"
             )
         for reserved in ("seq", "type", "at"):
             if reserved in fields:
                 raise ValueError(f"field name {reserved!r} is reserved")
+        for name, places in PRECISION.items():
+            if name in fields:
+                fields[name] = round(fields[name], places)
         with self._lock:
             # Direct __dict__ fill instead of the frozen-dataclass __init__
             # (four object.__setattr__ calls): a paper campaign emits 150k+

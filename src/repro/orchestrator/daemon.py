@@ -272,8 +272,8 @@ class OrchestratorDaemon:
                     "detail": f"keyRevoked: {campaign.key_id}",
                 }):
                     state.apply(record)
-                self.observer.on_orch_transition(
-                    cid, campaign.state, FAILED, "keyRevoked"
+                self.observer.emit(
+                    "orch.transition", cid, campaign.state, FAILED, "keyRevoked"
                 )
                 continue
             # A drain-pause is the daemon's own doing (SIGTERM), not the
@@ -291,10 +291,12 @@ class OrchestratorDaemon:
                     "detail": "recovered",
                 }):
                     state.apply(record)
-                self.observer.on_orch_transition(cid, old, ADMITTED, "recovered")
+                self.observer.emit(
+                    "orch.transition", cid, old, ADMITTED, "recovered"
+                )
             self._recovered.append(cid)
         if replayed:
-            self.observer.on_orch_journal("replay", replayed)
+            self.observer.emit("orch.journal", "replay", replayed)
         return state
 
     # -- lifecycle -------------------------------------------------------------
@@ -335,7 +337,7 @@ class OrchestratorDaemon:
             worker.join()
         with self._lock:
             self.journal.compact(self.state)
-            self.observer.on_orch_journal("compact", self.state.last_seq)
+            self.observer.emit("orch.journal", "compact", self.state.last_seq)
             self.journal.close()
 
     def wait_idle(self, timeout: float = 60.0, poll_s: float = 0.02) -> bool:
@@ -393,7 +395,8 @@ class OrchestratorDaemon:
                 tenant_active=self.state.active_for_key(key.key_id),
                 draining=self._draining,
             )
-            self.observer.on_orch_admission(
+            self.observer.emit(
+                "orch.admission",
                 "admit" if decision.admitted else "reject",
                 decision.reason, self._queued_count, self._running_count,
             )
@@ -567,7 +570,7 @@ class OrchestratorDaemon:
                 self.state.apply(stamped)
             if self.journal.appends_since_compact >= self.compact_every:
                 self.journal.compact(self.state)
-                self.observer.on_orch_journal("compact", self.state.last_seq)
+                self.observer.emit("orch.journal", "compact", self.state.last_seq)
 
     def _transition(
         self, campaign: CampaignState, to: str, detail: str = ""
@@ -583,7 +586,9 @@ class OrchestratorDaemon:
                 "kind": "transition", "campaign": campaign.campaign_id,
                 "to": to, "detail": detail,
             })
-        self.observer.on_orch_transition(campaign.campaign_id, old, to, detail)
+        self.observer.emit(
+            "orch.transition", campaign.campaign_id, old, to, detail[:200]
+        )
 
     def _enqueue(self, campaign: CampaignState) -> None:
         with self._lock:

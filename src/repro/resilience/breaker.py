@@ -90,8 +90,7 @@ class CircuitBreaker:
         ``time.monotonic``), an open circuit also half-opens once
         ``cooldown_s`` seconds have elapsed since it tripped.
     observer:
-        Observability hooks; transitions arrive via
-        ``on_circuit_transition``.
+        Where transitions are reported, as ``circuit.transition`` events.
     """
 
     def __init__(
@@ -137,7 +136,7 @@ class CircuitBreaker:
         if new is CircuitState.OPEN:
             circuit.rejections_since_open = 0
             circuit.opened_at = self._clock() if self._clock is not None else None
-        self.observer.on_circuit_transition(endpoint, old.value, new.value)
+        self.observer.emit("circuit.transition", endpoint, old.value, new.value)
 
     # -- the gate --------------------------------------------------------------
 

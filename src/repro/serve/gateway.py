@@ -199,17 +199,17 @@ class SimulatorGateway:
         key = self.keys.mint(
             label=label, daily_limit=daily_limit, researcher=researcher
         )
-        self.observer.on_serve_key("mint", key.key_id)
+        self.observer.emit("serve.key", "mint", key.key_id)
         return key
 
     def rotate_key(self, key_id: str) -> ApiKey:
         key = self.keys.rotate(key_id)
-        self.observer.on_serve_key("rotate", key.key_id)
+        self.observer.emit("serve.key", "rotate", key.key_id)
         return key
 
     def revoke_key(self, key_id: str) -> ApiKey:
         key = self.keys.revoke(key_id)
-        self.observer.on_serve_key("revoke", key.key_id)
+        self.observer.emit("serve.key", "revoke", key.key_id)
         return key
 
     def ledger_for(self, key_id: str) -> QuotaLedger:
@@ -309,7 +309,7 @@ class SimulatorGateway:
                 interval_days=interval_days,
             )
             self._jobs[job.job_id] = job
-        self.observer.on_serve_campaign(job.job_id, job.key_id, "queued")
+        self.observer.emit("serve.campaign", job.job_id, job.key_id, "queued")
         self._executor.submit(self._run_campaign_job, job, key)
         return job
 
@@ -345,7 +345,7 @@ class SimulatorGateway:
         from repro.core.experiments import paper_campaign_config
 
         job.status = "running"
-        self.observer.on_serve_campaign(job.job_id, job.key_id, "running")
+        self.observer.emit("serve.campaign", job.job_id, job.key_id, "running")
         try:
             service = self.campaign_service(key.policy)
             config = dataclasses.replace(
@@ -385,7 +385,9 @@ class SimulatorGateway:
             job.status = "failed"  # take the service down with it
             job.error = f"{type(exc).__name__}: {exc}"
         finally:
-            self.observer.on_serve_campaign(job.job_id, job.key_id, job.status)
+            self.observer.emit(
+                "serve.campaign", job.job_id, job.key_id, job.status
+            )
             job._done.set()
 
     # -- backend dispatch ------------------------------------------------------
@@ -420,7 +422,9 @@ class SimulatorGateway:
             ledger.refund(endpoint, as_of.date().isoformat())
             raise
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        self.observer.on_serve_request(endpoint, key.key_id, 200, wall_ms, outcome)
+        self.observer.emit(
+            "serve.request", endpoint, key.key_id, 200, wall_ms, outcome
+        )
         return body, outcome
 
     def _guarded_compute(self, compute, params: dict[str, str], as_of) -> bytes:

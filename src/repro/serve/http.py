@@ -201,8 +201,9 @@ class SimulatorServer:
                 else None
             )
             wall_ms = (time.perf_counter() - t0) * 1000.0
-            self.gateway.observer.on_serve_request(
-                path, _key_id_of(self.gateway, credential), status, wall_ms, "-"
+            self.gateway.observer.emit(
+                "serve.request", path, _key_id_of(self.gateway, credential),
+                status, wall_ms, "-",
             )
             return status, _dumps(envelope), extra
 

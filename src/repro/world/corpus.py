@@ -98,11 +98,12 @@ def build_world(
     world = ColumnarWorld(ColumnarCorpus(seed, topics))
     if observer is not None:
         summary = world.summary()
-        observer.on_world_build(
-            videos=summary["videos"],
-            channels=summary["channels"],
-            threads=summary["threads"],
-            tokens=world.corpus.vocabulary_size(),
-            wall_s=time.perf_counter() - start,
+        observer.emit(
+            "world.build",
+            summary["videos"],
+            summary["channels"],
+            summary["threads"],
+            world.corpus.vocabulary_size(),
+            time.perf_counter() - start,
         )
     return world

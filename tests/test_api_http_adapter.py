@@ -23,6 +23,7 @@ from repro.api.http_adapter import (
     build_request_url,
     classify_http_error,
 )
+from repro.obs import summarize_events
 
 
 class TestBuildRequestUrl:
@@ -229,5 +230,6 @@ class TestBillingUnderFailure:
             e.fields["units"] for e in refunds
         )
         assert net == service.quota.total_used
-        assert observer.net_quota_units == service.quota.total_used
+        summary = summarize_events(observer.tracer.iter_dicts())
+        assert summary.net_units == service.quota.total_used
         assert len(observer.tracer.of_type("api.retry")) == 1

@@ -225,3 +225,31 @@ class TestSpillCommands:
         )
         assert code == 0
         assert "campaign: 3 collections spilled" in capsys.readouterr().out
+
+
+class TestServerCommandsRecordNoTrace:
+    """``serve`` and ``orchestrate`` never export, print or serve a trace,
+    so they attach no recording observer: on a long-running server its
+    event list would grow with every request, without bound."""
+
+    @pytest.mark.parametrize("command", ["serve", "orchestrate"])
+    def test_gateway_gets_the_null_observer(self, command, tmp_path, monkeypatch):
+        import repro.serve
+
+        class Built(Exception):
+            pass
+
+        captured: dict = {}
+
+        def build_gateway(**kwargs):
+            captured.update(kwargs)
+            raise Built  # stop before the server starts
+
+        monkeypatch.setattr(repro.serve, "build_gateway", build_gateway)
+        argv = [command, "--port", "0"]
+        if command == "orchestrate":
+            argv += ["--workdir", str(tmp_path / "orch")]
+        with pytest.raises(Built):
+            main(argv)
+        assert "scale" in captured
+        assert captured.get("observer") is None

@@ -2,11 +2,29 @@
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _event_field_tables(text: str) -> dict[str, list[str]]:
+    """Each ``### `type` ...`` section's field-table names, in order."""
+    tables: dict[str, list[str]] = {}
+    current: list[str] | None = None
+    for line in text.splitlines():
+        heading = re.match(r"### `([a-z_.]+)`", line)
+        if heading:
+            current = tables.setdefault(heading.group(1), [])
+        elif line.startswith("#"):
+            current = None
+        elif current is not None:
+            row = re.match(r"\| `(\w+)` \|", line)
+            if row:
+                current.append(row.group(1))
+    return tables
 
 
 class TestDocLinks:
@@ -44,19 +62,25 @@ class TestDocLinks:
 
     def test_architecture_doc_mentions_hooks(self):
         text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
-        for hook in ("on_api_call", "on_quota_spend", "on_checkpoint"):
-            assert hook in text
+        for call in ("observer.emit(", 'emit("api.call"',
+                     'emit("quota.spend"', 'emit("campaign.checkpoint"'):
+            assert call in text
 
     def test_observability_doc_covers_event_vocabulary(self):
-        """Every trace event type in the code is documented, and vice versa."""
+        """Each event type has one section whose field table lists exactly
+        its schema fields, in schema order (plus ``quota.spend``'s
+        optional ``topic``), and the doc has no section the schema lacks."""
         sys.path.insert(0, str(REPO_ROOT / "src"))
         try:
             from repro.obs import EVENT_TYPES
         finally:
             sys.path.pop(0)
         text = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text()
-        for event_type in EVENT_TYPES:
-            assert f"`{event_type}`" in text, f"{event_type} undocumented"
+        tables = _event_field_tables(text)
+        assert set(tables) == set(EVENT_TYPES)
+        for event_type, names in EVENT_TYPES.items():
+            optional = ["topic"] if event_type == "quota.spend" else []
+            assert tables[event_type] == [*names, *optional], event_type
 
     def test_makefile_has_verify_target(self):
         text = (REPO_ROOT / "Makefile").read_text()

@@ -573,12 +573,9 @@ class TestObserverEvent:
         observer = CampaignObserver()
         campaign = _degraded_campaign()
         index = campaign_index(campaign, observer=observer)
-        assert observer.metrics.counter_value("index.builds") == 1
-        events = [
-            e for e in observer.tracer.iter_dicts() if e["type"] == "index.build"
-        ]
+        events = observer.tracer.of_type("index.build")
         assert len(events) == 1
-        event = events[0]
+        event = events[0].to_dict()
         assert event["topics"] == 2
         assert event["videos"] == sum(
             index.topic(t).n_videos for t in index.topic_keys
@@ -587,7 +584,7 @@ class TestObserverEvent:
         assert event["wall_s"] >= 0.0
         # A cache hit emits nothing.
         campaign_index(campaign, observer=observer)
-        assert observer.metrics.counter_value("index.builds") == 1
+        assert len(observer.tracer.of_type("index.build")) == 1
 
 
 class TestParallelReplication:

@@ -3,14 +3,50 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.api import QuotaPolicy, YouTubeClient, build_service
 from repro.api.errors import NotFoundError, TransientServerError
 from repro.api.transport import FaultInjector, Transport
+from repro.cli import main
 from repro.core import paper_campaign_config, run_campaign
 from repro.obs import CampaignObserver, load_trace, summarize_events
+
+#: (events, digest) of ``repro campaign --scale 0.05 --collections 2
+#: --comments --trace T`` at the default seed, per engine.
+CAMPAIGN_TRACE_DIGESTS = {
+    "batch": (25_017, "856b5825b082d33c"),
+    "per-call": (25_005, "33edd200018ed720"),
+}
+
+
+def trace_digest(path) -> tuple[int, str]:
+    """Event count and a short sha256 of an exported trace.
+
+    Wall-clock fields (``wall_s``, ``wall_ms``) are dropped and ``path``
+    / ``directory`` cut to their last component, so the digest repeats
+    across runs and working directories.  Each event is hashed as its
+    ``json.dumps(event, sort_keys=True)`` plus a newline, in ``seq``
+    order; the digest is the first 16 hex digits.
+    """
+    digest = hashlib.sha256()
+    events = load_trace(path)
+    for event in events:
+        event.pop("wall_s", None)
+        event.pop("wall_ms", None)
+        for key in ("path", "directory"):
+            if key in event:
+                event[key] = Path(event[key]).name
+        digest.update((json.dumps(event, sort_keys=True) + "\n").encode())
+    return len(events), digest.hexdigest()[:16]
 
 
 def _mini_config(specs, n=2):
@@ -24,7 +60,7 @@ def _mini_config(specs, n=2):
 @pytest.fixture()
 def observed_run(small_world, small_specs):
     """A 2-snapshot campaign with a CampaignObserver attached at the service."""
-    obs = CampaignObserver(wall_clock=lambda: 0.0)
+    obs = CampaignObserver()
     service = build_service(
         small_world, seed=20250209, specs=small_specs,
         quota_policy=QuotaPolicy(researcher_program=True), observer=obs,
@@ -63,7 +99,6 @@ class TestQuotaReconciliation:
         obs, service, _ = observed_run
         summary = summarize_events(obs.tracer.iter_dicts())
         assert summary.total_units == service.quota.total_used
-        assert obs.total_quota_units == service.quota.total_used
 
     def test_trace_calls_match_transport(self, observed_run):
         obs, service, _ = observed_run
@@ -132,8 +167,33 @@ class TestEventStream:
         queries = obs.tracer.of_type("search.query")
         assert queries
         assert all(q.fields["pages"] >= 1 for q in queries)
-        depth = obs.metrics.histogram("search.page_depth")
-        assert depth.count == len(queries)
+        summary = summarize_events(obs.tracer.iter_dicts())
+        assert summary.search_queries == len(queries)
+        assert summary.search_pages == sum(q.fields["pages"] for q in queries)
+
+    def test_snapshot_end_times_the_collection(
+        self, small_world, small_specs, monkeypatch
+    ):
+        """The collector measures a snapshot's wall and virtual time."""
+        from repro.core.collector import SnapshotCollector
+
+        ticks = iter([10.0, 12.5])
+        monkeypatch.setattr(
+            "repro.core.collector.time",
+            SimpleNamespace(perf_counter=lambda: next(ticks)),
+        )
+        obs = CampaignObserver()
+        service = build_service(
+            small_world, seed=20250209, specs=small_specs,
+            quota_policy=QuotaPolicy(researcher_program=True), observer=obs,
+        )
+        collector = SnapshotCollector(
+            YouTubeClient(service), small_specs[:1], collect_metadata=False
+        )
+        collector.collect(0)
+        (end,) = obs.tracer.of_type("snapshot.end")
+        assert end.fields["wall_s"] == 2.5
+        assert end.fields["virtual_s"] == 0.0
 
 
 class TestRetriesAndErrors:
@@ -159,9 +219,10 @@ class TestRetriesAndErrors:
         assert retries, "20% fault rate over 30+ calls must retry at least once"
         assert all(e.fields["endpoint"] == "search.list" for e in retries)
         assert all(e.fields["error"] == "TransientServerError" for e in retries)
-        assert obs.metrics.counter_value("api.retries", endpoint="search.list") == len(retries)
+        summary = summarize_events(obs.tracer.iter_dicts())
+        assert summary.endpoints["search.list"].retries == len(retries)
         # Retries are never billed: units still equal completed calls' costs.
-        assert obs.total_quota_units == service.quota.total_used
+        assert summary.total_units == service.quota.total_used
 
     def test_exhausted_retries_emit_error_event(self, small_world, small_specs):
         obs = CampaignObserver()
@@ -231,13 +292,16 @@ class TestDeterminism:
 
     def test_traces_repeat_except_wall_time(self, small_world, small_specs):
         def trace():
-            obs = CampaignObserver(wall_clock=lambda: 0.0)
+            obs = CampaignObserver()
             service = build_service(
                 small_world, seed=20250209, specs=small_specs,
                 quota_policy=QuotaPolicy(researcher_program=True), observer=obs,
             )
             run_campaign(_mini_config(small_specs, n=1), YouTubeClient(service))
-            return list(obs.tracer.iter_dicts())
+            return [
+                {k: v for k, v in event.items() if k != "wall_s"}
+                for event in obs.tracer.iter_dicts()
+            ]
 
         assert trace() == trace()
 
@@ -259,8 +323,35 @@ class TestTraceExport:
         assert "Quota economy per topic" in text
         assert str(service.quota.total_used) in text
 
+    def test_observability_demo_reconciles(self, tmp_path):
+        """``examples/observability_demo.py`` runs and its trace reconciles."""
+        root = Path(__file__).resolve().parents[1]
+        trace = tmp_path / "demo.jsonl"
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        result = subprocess.run(
+            [sys.executable, str(root / "examples" / "observability_demo.py"),
+             "--trace-out", str(trace)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "quota reconciliation" in result.stdout
+        summary = summarize_events(load_trace(trace))
+        assert summary.total_units > 0 and summary.total_retries > 0
+
     def test_core_report_integration(self, observed_run):
         from repro.core import report
 
         obs, _, _ = observed_run
         assert report.render_observability(obs.tracer.iter_dicts()) == obs.report()
+
+
+class TestTraceDigest:
+    @pytest.mark.parametrize("engine", sorted(CAMPAIGN_TRACE_DIGESTS))
+    def test_campaign_trace_is_pinned(self, engine, tmp_path):
+        """The whole event stream of a small campaign, wall time aside."""
+        trace = tmp_path / "trace.jsonl"
+        assert main([
+            "campaign", "--scale", "0.05", "--collections", "2", "--comments",
+            "--quiet", "--engine", engine, "--trace", str(trace),
+        ]) == 0
+        assert trace_digest(trace) == CAMPAIGN_TRACE_DIGESTS[engine]

@@ -1,15 +1,16 @@
-"""Unit tests for the observability primitives (metrics, tracer, report)."""
+"""Unit tests for the observability primitives (tracer, observer, report)."""
 
 from __future__ import annotations
 
+import ast
 from datetime import datetime
+from pathlib import Path
 
 import pytest
 
 from repro.obs import (
     EVENT_TYPES,
     CampaignObserver,
-    MetricsRegistry,
     NullObserver,
     Observer,
     Tracer,
@@ -17,82 +18,7 @@ from repro.obs import (
     render_observability,
     summarize_events,
 )
-from repro.obs.metrics import Histogram, series_key
 from repro.util.timeutil import UTC
-
-
-class TestMetricsRegistry:
-    def test_counter_accumulates(self):
-        reg = MetricsRegistry()
-        reg.inc("api.calls", endpoint="search.list")
-        reg.inc("api.calls", 2, endpoint="search.list")
-        reg.inc("api.calls", endpoint="videos.list")
-        assert reg.counter_value("api.calls", endpoint="search.list") == 3
-        assert reg.counter_value("api.calls", endpoint="videos.list") == 1
-        assert reg.counter_value("api.calls", endpoint="never") == 0
-
-    def test_counters_reject_negative(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().inc("x", -1)
-
-    def test_label_order_is_canonical(self):
-        assert series_key("m", {"a": 1, "b": 2}) == series_key("m", {"b": 2, "a": 1})
-        reg = MetricsRegistry()
-        reg.inc("m", a=1, b=2)
-        reg.inc("m", b=2, a=1)
-        assert reg.counter_value("m", a=1, b=2) == 2
-
-    def test_gauge_moves_both_ways(self):
-        reg = MetricsRegistry()
-        reg.set_gauge("quota.used_on_day", 500, day="2025-02-09")
-        reg.set_gauge("quota.used_on_day", 100, day="2025-02-09")
-        assert reg.gauge("quota.used_on_day", day="2025-02-09").value == 100
-
-    def test_kind_collision_rejected(self):
-        reg = MetricsRegistry()
-        reg.inc("x")
-        with pytest.raises(ValueError, match="already a counter"):
-            reg.set_gauge("x", 1)
-
-    def test_histogram_buckets_and_stats(self):
-        h = Histogram(bounds=(1.0, 5.0, 10.0))
-        for v in (0.5, 2.0, 7.0, 50.0):
-            h.observe(v)
-        assert h.counts == [1, 1, 1, 1]  # one overflow
-        assert h.count == 4
-        assert h.minimum == 0.5 and h.maximum == 50.0
-        assert h.mean == pytest.approx(59.5 / 4)
-        d = h.to_dict()
-        assert d["buckets"]["+Inf"] == 1
-        assert d["count"] == 4
-
-    def test_histogram_rejects_unsorted_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(bounds=(5.0, 1.0))
-
-    def test_declared_bounds_used(self):
-        reg = MetricsRegistry()
-        reg.declare_histogram("depth", (1.0, 2.0))
-        reg.observe("depth", 2.0)
-        assert reg.histogram("depth").bounds == (1.0, 2.0)
-
-    def test_counters_with_prefix_is_family_exact(self):
-        reg = MetricsRegistry()
-        reg.inc("quota.units", 100, endpoint="search.list")
-        reg.inc("quota.units_by_topic", 100, topic="higgs")
-        family = reg.counters_with_prefix("quota.units")
-        assert list(family) == ["quota.units{endpoint=search.list}"]
-
-    def test_snapshot_is_json_ready(self):
-        import json
-
-        reg = MetricsRegistry()
-        reg.inc("a", endpoint="x")
-        reg.set_gauge("g", 3.5)
-        reg.observe("h", 12.0)
-        snap = reg.snapshot()
-        assert json.loads(json.dumps(snap)) == snap
-        assert snap["counters"] == {"a{endpoint=x}": 1.0}
 
 
 class TestTracer:
@@ -113,7 +39,19 @@ class TestTracer:
         t = Tracer()
         with pytest.raises(ValueError, match="unknown event type"):
             t.emit("api.frobnicate")
-        Tracer(strict=False).emit("api.frobnicate")
+        assert len(t) == 0
+
+    def test_measured_durations_are_rounded(self):
+        t = Tracer()
+        t.emit("api.call", endpoint="e", units=1, latency_ms=12.3456789)
+        t.emit("snapshot.end", index=0, units=1, calls=1,
+               wall_s=0.123456789, virtual_s=0.123456789)
+        t.emit("serve.request", route="r", key="k", status=200,
+               wall_ms=1.23456, outcome="hit")
+        assert t.events[0].fields["latency_ms"] == 12.346
+        assert t.events[1].fields["wall_s"] == 0.123457
+        assert t.events[1].fields["virtual_s"] == 0.123456789
+        assert t.events[2].fields["wall_ms"] == 1.235
 
     def test_reserved_field_names_rejected(self):
         with pytest.raises(ValueError, match="reserved"):
@@ -148,46 +86,95 @@ class TestTracer:
             assert required in EVENT_TYPES
 
 
+def _emit_calls() -> list[tuple[str, str, ast.Call]]:
+    """Every ``<x>.emit("<type>", ...)`` call in the package's source."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    calls = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "emit"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                where = f"{path.relative_to(src)}:{node.lineno}"
+                calls.append((where, node.args[0].value, node))
+    return calls
+
+
+class TestEmitters:
+    """The null observer checks nothing, so check every call site here."""
+
+    def test_every_emit_call_matches_the_schema(self):
+        calls = _emit_calls()
+        assert len(calls) >= len(EVENT_TYPES)
+        for where, event_type, call in calls:
+            assert event_type in EVENT_TYPES, where
+            assert not any(isinstance(a, ast.Starred) for a in call.args), where
+            assert len(call.args) - 1 == len(EVENT_TYPES[event_type]), where
+            assert [k.arg for k in call.keywords] in ([], ["at"]), where
+
+    def test_every_event_type_has_an_emitter(self):
+        emitted = {event_type for _, event_type, _ in _emit_calls()}
+        assert emitted == set(EVENT_TYPES)
+
+
 class TestObserverProtocol:
     def test_null_observer_is_all_noops(self):
         obs = NullObserver()
         at = datetime(2025, 2, 9, tzinfo=UTC)
-        obs.on_api_call("search.list", at, 100, 1.0)
-        obs.on_api_retry("search.list", 1, RuntimeError("x"))
-        obs.on_api_error("search.list", RuntimeError("x"))
-        obs.on_search_query(1, 10)
-        obs.on_quota_spend("search.list", "2025-02-09", 100, 100)
-        obs.on_topic_start("higgs", at)
-        obs.on_topic_end("higgs", at, 100, 10)
-        obs.on_snapshot_start(0, at)
-        obs.on_snapshot_end(0, at, 100, 1)
-        obs.on_checkpoint("resume-spill", "x.spill", 1)
+        assert obs.emit("api.call", "search.list", 100, 1.0, at=at) is None
+        assert obs.emit("api.retry", "search.list", 1, "RuntimeError") is None
+        assert obs.emit("api.error", "search.list", "RuntimeError", "x") is None
+        assert obs.emit("search.query", 1, 10) is None
+        assert obs.emit("quota.spend", "search.list", "2025-02-09", 100, 100) is None
+        assert obs.emit("topic.start", "higgs", at=at) is None
+        assert obs.emit("topic.end", "higgs", 100, 10, at=at) is None
+        assert obs.emit("snapshot.start", 0, at=at) is None
+        assert obs.emit("snapshot.end", 0, 100, 1, 0.5, 0.0, at=at) is None
+        assert obs.emit("campaign.checkpoint", "resume-spill", "x.spill", 1) is None
+        assert vars(obs) == {}
 
     def test_null_observer_is_the_base_class(self):
         assert NullObserver is Observer
 
     def test_campaign_observer_attributes_quota_to_topic(self):
-        obs = CampaignObserver(wall_clock=lambda: 0.0)
+        obs = CampaignObserver()
         at = datetime(2025, 2, 9, tzinfo=UTC)
-        obs.on_topic_start("higgs", at)
-        obs.on_quota_spend("search.list", "2025-02-09", 100, 100)
-        obs.on_topic_end("higgs", at, 100, 3)
-        obs.on_quota_spend("videos.list", "2025-02-09", 1, 101)  # outside topic
-        by_topic = obs.metrics.counters_with_prefix("quota.units_by_topic")
-        assert by_topic == {"quota.units_by_topic{topic=higgs}": 100.0}
+        obs.emit("topic.start", "higgs", at=at)
+        obs.emit("quota.spend", "search.list", "2025-02-09", 100, 100)
+        obs.emit("topic.end", "higgs", 100, 3, at=at)
+        obs.emit("quota.spend", "videos.list", "2025-02-09", 1, 101)  # outside topic
+        summary = summarize_events(obs.tracer.iter_dicts())
+        assert summary.topic_units == {"higgs": 100}
         spends = obs.tracer.of_type("quota.spend")
         assert spends[0].fields["topic"] == "higgs"
         assert "topic" not in spends[1].fields
-        assert obs.total_quota_units == 101
+        assert summary.total_units == 101
 
-    def test_campaign_observer_wall_clock_injectable(self):
-        ticks = iter([10.0, 12.5])
-        obs = CampaignObserver(wall_clock=lambda: next(ticks))
+    def test_campaign_observer_names_values_by_schema(self):
+        obs = CampaignObserver()
         at = datetime(2025, 2, 9, tzinfo=UTC)
-        obs.on_snapshot_start(0, at)
-        obs.on_snapshot_end(0, at, 100, 1)
-        end = obs.tracer.of_type("snapshot.end")[0]
-        assert end.fields["wall_s"] == pytest.approx(2.5)
+        obs.emit("api.call", "search.list", 100, 12.5, at=at)
+        (event,) = obs.tracer.events
+        assert event.at == at
+        assert event.fields == {
+            "endpoint": "search.list", "units": 100, "latency_ms": 12.5,
+        }
+        assert tuple(event.fields) == EVENT_TYPES["api.call"]
+
+    def test_campaign_observer_rejects_off_schema_events(self):
+        obs = CampaignObserver()
+        with pytest.raises(ValueError):
+            obs.emit("search.query", 1)  # one value short
+        with pytest.raises(ValueError):
+            obs.emit("search.query", 1, 10, 3)  # one value too many
+        with pytest.raises(KeyError):
+            obs.emit("api.frobnicate")
+        assert len(obs.tracer) == 0
 
 
 class TestReport:

@@ -142,8 +142,8 @@ class TestSubmitAndComplete:
         daemon.drain()
         gateway.close()
         obs = gateway.observer
-        for name in ("orch.transitions", "orch.admissions", "orch.journal"):
-            assert sum(obs.metrics.counters_with_prefix(name).values()) >= 1
+        for event_type in ("orch.transition", "orch.admission", "orch.journal"):
+            assert obs.tracer.of_type(event_type)
         transitions = [
             e for e in obs.tracer.events if e.type == "orch.transition"
         ]

@@ -7,6 +7,7 @@ import pytest
 from repro.cli import main
 from repro.resilience import SCENARIOS
 from repro.resilience.chaos import run_scenario
+from tests.test_obs_integration import trace_digest
 
 #: Units each scenario's final process bills at the harness defaults (seed
 #: 7, scale 0.05, 2 collections of 48 bins).  A crash scenario's count is
@@ -23,14 +24,29 @@ QUOTA_UNITS = {
     "ratelimit-storm": 9_600,
 }
 
+#: (events, digest) of each scenario's exported trace at the same
+#: defaults; see ``trace_digest`` for what the digest leaves out.
+TRACE_DIGESTS = {
+    "boundary-crash": (303, "d12623bc548b0398"),
+    "burst-500s": (304, "6ce0beb623124992"),
+    "hard-outage": (166, "be096cd6ad0662d3"),
+    "invalid-page-token": (300, "5248ece5afd4da42"),
+    "malformed-json": (300, "5177cb217abcdfcd"),
+    "midsnapshot-crash": (302, "6d45d294f6e0e385"),
+    "quota-cliff": (303, "3d6f4d21b494de90"),
+    "ratelimit-storm": (305, "e1f6431df015bc65"),
+}
+
 
 class TestRunScenario:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_every_scenario_passes(self, name, tmp_path):
-        report = run_scenario(name, tmp_path)
+        trace = tmp_path / "trace.jsonl"
+        report = run_scenario(name, tmp_path, trace_path=trace)
         assert report.passed, report.render()
         assert report.quota_units == QUOTA_UNITS[name]
         assert (tmp_path / "faulted.spill" / "manifest.json").exists()
+        assert trace_digest(trace) == TRACE_DIGESTS[name]
 
     def test_malformed_json_scenario_passes(self, tmp_path):
         report = run_scenario("malformed-json", tmp_path)

@@ -18,7 +18,7 @@ from repro.api.errors import (
     TransientServerError,
 )
 from repro.api.transport import Transport
-from repro.obs import CampaignObserver
+from repro.obs import CampaignObserver, summarize_events
 from repro.resilience import (
     CircuitBreaker,
     CircuitOpenError,
@@ -235,4 +235,5 @@ class TestBillingUnderRetry:
         spends = observer.tracer.of_type("quota.spend")
         assert len(spends) == service.transport.total_calls
         assert sum(e.fields["units"] for e in spends) == service.quota.total_used
-        assert observer.net_quota_units == service.quota.total_used
+        summary = summarize_events(observer.tracer.iter_dicts())
+        assert summary.net_units == service.quota.total_used

@@ -481,7 +481,6 @@ class TestWorldBuildEvent:
         assert (event["threads"] > 0) == with_comments
         assert event["tokens"] == PlatformStore(world).summary()["tokens"]
         assert event["wall_s"] > 0.0
-        assert observer.metrics.counters_with_prefix("world.builds")
         assert "World builds" in observer.report()
 
 
